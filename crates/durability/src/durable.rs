@@ -178,9 +178,13 @@ pub struct RecoveryReport {
 ///
 /// Mutations through the [`SortedIndex`] impl (and the `&self` shared API
 /// of [`Durable<ConcurrentTree>`]) are logged first, then applied. I/O
-/// errors on the log path panic — the trait has no error channel, and a
+/// errors on those paths panic — the trait has no error channel, and a
 /// WAL that can no longer write must not let callers believe their writes
-/// are durable. The WAL also *poisons* itself on any append/fsync
+/// are durable. Callers that need the error instead use the no-wait
+/// writes ([`insert_batch_nowait`](Durable::insert_batch_nowait),
+/// [`delete_nowait`](Durable::delete_nowait)) and
+/// [`wait_durable`](Durable::wait_durable), which return it. The WAL also
+/// *poisons* itself on any append/fsync
 /// failure, so concurrent writer threads that did not observe the
 /// original error fail (and panic) on their next mutation instead of
 /// acking records through a broken log. Use
@@ -300,32 +304,76 @@ impl<T> Durable<T> {
     }
 
     /// Appends `ops` to the WAL without waiting for durability, returning
-    /// the LSN that [`ack`](Self::ack) must wait on (`None` unless the
-    /// level is `GroupCommit`). Panics on I/O error (see the type-level
-    /// docs).
-    fn log_nowait<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) -> Option<Lsn> {
+    /// the LSN that [`wait_durable`](Self::wait_durable) must wait on
+    /// (`None` unless the level is `GroupCommit`).
+    fn log_nowait<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) -> Result<Option<Lsn>> {
         match self.config.level {
-            DurabilityLevel::Off => None,
-            DurabilityLevel::Buffered => {
-                self.wal.append(ops).expect("WAL append failed");
-                None
-            }
-            DurabilityLevel::GroupCommit => Some(self.wal.append(ops).expect("WAL append failed")),
+            DurabilityLevel::Off => Ok(None),
+            DurabilityLevel::Buffered => self.wal.append(ops).map(|_| None),
+            DurabilityLevel::GroupCommit => self.wal.append(ops).map(Some),
         }
     }
 
-    /// Blocks until the LSN returned by [`log_nowait`](Self::log_nowait)
-    /// is fsync-durable (no-op for `None`).
-    fn ack(&self, lsn: Option<Lsn>) {
-        if let Some(lsn) = lsn {
-            self.wal.commit(lsn).expect("WAL fsync failed");
+    /// Blocks until `lsn` (as returned by a `*_nowait` write) is
+    /// fsync-durable; a no-op for `None`. One call covers every write
+    /// logged up to `lsn`, so a single-writer loop can log a group of
+    /// writes and wait once for the highest LSN.
+    pub fn wait_durable(&self, lsn: Option<Lsn>) -> Result<()> {
+        match lsn {
+            Some(lsn) => self.wal.commit(lsn),
+            None => Ok(()),
         }
+    }
+
+    /// The panicking [`wait_durable`](Self::wait_durable) for the
+    /// [`SortedIndex`] path (see the type-level docs).
+    fn ack(&self, lsn: Option<Lsn>) {
+        self.wait_durable(lsn).expect("WAL fsync failed");
     }
 
     /// Logs `ops` according to the configured level, waiting for
     /// durability where the level demands it.
     fn log<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) {
-        self.ack(self.log_nowait(ops));
+        self.ack(self.log_nowait(ops).expect("WAL append failed"));
+    }
+
+    /// [`SortedIndex::insert_batch`] without the durability wait: logs
+    /// `entries` as one append, applies them, and returns the fast-path
+    /// count with the LSN to pass to [`wait_durable`](Self::wait_durable).
+    /// On a WAL error nothing is applied.
+    pub fn insert_batch_nowait<K, V>(&mut self, entries: &[(K, V)]) -> Result<(usize, Option<Lsn>)>
+    where
+        K: Key + WalCodec,
+        V: Clone + WalCodec,
+        T: SortedIndex<K, V>,
+    {
+        let lsn = if entries.is_empty() {
+            None
+        } else {
+            let ops: Vec<WalOp<K, V>> = entries
+                .iter()
+                .map(|&(k, ref v)| WalOp::Insert(k, v.clone()))
+                .collect();
+            self.log_nowait(&ops)?
+        };
+        Ok((self.inner.insert_batch(entries), lsn))
+    }
+
+    /// [`SortedIndex::delete`] without the durability wait: logs the
+    /// delete, applies it, and returns the previous value with the LSN to
+    /// pass to [`wait_durable`](Self::wait_durable). On a WAL error
+    /// nothing is applied.
+    pub fn delete_nowait<K, V>(&mut self, key: K) -> Result<(Option<V>, Option<Lsn>)>
+    where
+        K: Key + WalCodec,
+        V: Clone + WalCodec,
+        T: SortedIndex<K, V>,
+    {
+        // Always logged, hit or miss: a miss-delete replays as a no-op, so
+        // skipping the read-before-write keeps the hot path cheap and
+        // replay deterministic.
+        let lsn = self.log_nowait(&[WalOp::<K, V>::Delete(key)])?;
+        Ok((self.inner.delete(key), lsn))
     }
 
     /// Checkpoint: writes the index's full contents as a sorted snapshot,
@@ -483,17 +531,14 @@ where
     }
 
     fn insert_batch(&mut self, entries: &[(K, V)]) -> usize {
-        if !entries.is_empty() {
-            let ops: Vec<WalOp<K, V>> = entries
-                .iter()
-                .map(|&(k, ref v)| WalOp::Insert(k, v.clone()))
-                .collect();
-            // One append + (at GroupCommit) one commit for the whole
-            // batch: the WAL amortizes exactly like the tree's sorted-run
-            // fast path does.
-            self.log(&ops);
-        }
-        self.inner.insert_batch(entries)
+        // One append + (at GroupCommit) one commit for the whole batch:
+        // the WAL amortizes exactly like the tree's sorted-run fast path
+        // does.
+        let (fast, lsn) = self
+            .insert_batch_nowait(entries)
+            .expect("WAL append failed");
+        self.ack(lsn);
+        fast
     }
 
     fn get(&mut self, key: K) -> Option<V> {
@@ -501,11 +546,9 @@ where
     }
 
     fn delete(&mut self, key: K) -> Option<V> {
-        // Always logged, hit or miss: a miss-delete replays as a no-op, so
-        // skipping the read-before-write keeps the hot path cheap and
-        // replay deterministic.
-        self.log(&[WalOp::<K, V>::Delete(key)]);
-        self.inner.delete(key)
+        let (prev, lsn) = self.delete_nowait(key).expect("WAL append failed");
+        self.ack(lsn);
+        prev
     }
 
     fn range<R: RangeBounds<K>>(&mut self, bounds: R) -> impl Iterator<Item = (K, V)> + '_ {
@@ -566,7 +609,9 @@ where
     pub fn insert_shared(&self, key: K, value: V) {
         let lsn = {
             let _order = self.stripe(key).lock().unwrap();
-            let lsn = self.log_nowait(&[WalOp::Insert(key, value.clone())]);
+            let lsn = self
+                .log_nowait(&[WalOp::Insert(key, value.clone())])
+                .expect("WAL append failed");
             self.inner.insert(key, value);
             lsn
         };
@@ -579,7 +624,9 @@ where
     pub fn delete_shared(&self, key: K) -> Option<V> {
         let (prev, lsn) = {
             let _order = self.stripe(key).lock().unwrap();
-            let lsn = self.log_nowait(&[WalOp::<K, V>::Delete(key)]);
+            let lsn = self
+                .log_nowait(&[WalOp::<K, V>::Delete(key)])
+                .expect("WAL append failed");
             (self.inner.delete(key), lsn)
         };
         self.ack(lsn);
@@ -708,6 +755,26 @@ mod tests {
         assert_eq!(d2.get(50), None);
         assert_eq!(d2.get(99), Some(198));
         d2.inner().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn nowait_writes_share_one_durability_wait() {
+        let storage = Arc::new(MemStorage::new());
+        let (mut d, _) = open(&storage, DurabilityConfig::group_commit());
+        let (_, first) = d.insert_batch_nowait(&[(1u64, 10u64), (2, 20)]).unwrap();
+        let (prev, last) = d.delete_nowait(1u64).unwrap();
+        assert_eq!(prev, Some(10));
+        assert!(last > first);
+        assert_eq!(d.len(), 1, "applied before any wait");
+        assert_eq!(storage.durable_bytes(), 0, "nothing durable yet");
+
+        d.wait_durable(last).unwrap();
+        assert_eq!(SortedIndex::<u64, u64>::metrics(&d).wal_fsyncs, 1);
+        let crashed = Arc::new(storage.crash_durable_only());
+        let (mut d2, report) = open(&crashed, DurabilityConfig::group_commit());
+        assert_eq!(report.recovered_lsn, 3);
+        assert_eq!(d2.get(1), None);
+        assert_eq!(d2.get(2), Some(20));
     }
 
     #[test]

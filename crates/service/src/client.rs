@@ -67,6 +67,9 @@ impl Client {
                 .remove(&id)
                 .ok_or_else(|| Error::corruption(format!("reply for unknown request id {id}")))
         })?;
+        // An error status carries no payload, so the decoder never looked
+        // its id up; the request is answered all the same.
+        inflight.remove(&id);
         Ok((id, reply))
     }
 

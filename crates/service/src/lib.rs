@@ -13,11 +13,13 @@
 //! * **Run-building router** ([`InsertBatcher`]): pipelined single
 //!   inserts accumulate per shard and are submitted as contiguous runs
 //!   through `insert_batch`'s sorted-run detection — one channel
-//!   message, one WAL append, one group-commit wait per burst per shard.
+//!   message and one WAL append per burst per shard.
 //! * **One `Durable<ConcurrentTree>` per shard**, each with its own WAL
-//!   directory ([`quit_durability::FsStorage::open_sharded`]): group
-//!   commit batches fsyncs *within* a shard while shards proceed in
-//!   parallel, and each shard recovers independently.
+//!   directory ([`quit_durability::FsStorage::open_sharded`]) and one
+//!   single-writer worker: it drains its queue, logs and applies every
+//!   write in the drain, waits for one fsync, and only then releases the
+//!   drain's replies. Shards proceed in parallel, and each shard recovers
+//!   independently.
 //!
 //! The wire protocol ([`wire`]) is length-prefixed, binary, and
 //! pipelined; its status codes map one-to-one from [`quit_core::Error`]

@@ -5,31 +5,44 @@
 //! ## Threading model
 //!
 //! * **Shard worker** — owns its `Durable<ConcurrentTree<u64, u64>>`
-//!   outright, so mutations go through the `&mut self` [`SortedIndex`]
-//!   path and buffered single-insert runs reach `insert_batch`'s
-//!   sorted-run detection exactly like an embedded caller's would. The
-//!   worker drains one mpsc channel; within a shard, operations apply in
-//!   channel order (which is submission order per connection), so a
-//!   connection always reads its own writes.
+//!   outright, so mutations go through the `&mut self` path and buffered
+//!   single-insert runs reach `insert_batch`'s sorted-run detection
+//!   exactly like an embedded caller's would. Within a shard, operations
+//!   apply in channel order (which is submission order per connection),
+//!   so a connection always reads its own writes.
+//! * **Group commit per drain** — the worker blocks for one message, then
+//!   takes whatever is already queued behind it, up to [`DRAIN_CAP`]
+//!   messages. Each write is logged and applied without waiting for
+//!   durability; the drain then waits once, for its highest LSN — one
+//!   fsync per drain at `GroupCommit`, none at `Buffered`/`Off`. Runs are
+//!   never merged across messages, so each shard sees the same
+//!   `insert_batch` sequence it would with one wait per message.
+//! * **Replies only once durable** — a reply leaves the worker only after
+//!   every write the worker applied before it is durable. Answers that
+//!   come before the drain's first write go out at once; from the first
+//!   write on they are held until the drain's durability wait returns.
+//!   Gets and ranges may read not-yet-durable state inside a drain, but no
+//!   client sees it before it is durable.
 //! * **Connection reader** — decodes frames, accumulates single inserts
 //!   in a [`InsertBatcher`], and flushes a shard's run when it reaches
 //!   `batch_max`, when a non-insert request arrives (read-your-writes),
 //!   or when the connection's read buffer drains — the natural pipelining
 //!   window: everything a client sent in one burst coalesces into one
-//!   run per shard, one WAL append, one group-commit wait.
+//!   run per shard and one WAL append.
 //! * **Connection writer** — drains pre-encoded reply frames from an
 //!   mpsc channel into a `BufWriter`, flushing whenever the channel goes
 //!   momentarily empty. Replies to different shards' requests may
 //!   interleave out of submission order; the client matches them by id.
 //!
 //! Cross-shard requests (`InsertBatch` spanning a boundary, `Range`,
-//! `Stats`) fan out to every involved worker and aggregate through a
-//! small atomic countdown; the last worker to finish encodes the reply.
+//! `Stats`) fan out to every involved worker and gather through a small
+//! countdown aggregate; the last worker to finish encodes the one reply,
+//! which carries the first error any shard reported.
 //!
-//! A WAL failure poisons the shard's log and panics its worker (the same
-//! contract as embedded `Durable` use); from then on requests touching
-//! that shard answer with status `Shutdown` while healthy shards keep
-//! serving.
+//! A WAL append or fsync failure poisons the shard's log. Its worker
+//! answers every held request with `Wal` and every later one with
+//! `Shutdown`, and exits once its channel closes; healthy shards keep
+//! serving, and [`Server::shutdown`] reports the failure as `Wal`.
 
 use crate::config::ServiceConfig;
 use crate::router::{is_batchable, shards_overlapping, split_batch, InsertBatcher};
@@ -37,94 +50,123 @@ use crate::wire::{encode_reply, read_request, Reply, Request, ServiceStats, MAX_
 use quit_concurrent::ConcurrentTree;
 use quit_core::{Error, Result, SortedIndex};
 use quit_durability::{
-    concurrent_builder, Durable, FsStorage, MemStorage, RecoveryReport, Storage,
+    concurrent_builder, Durable, FsStorage, Lsn, MemStorage, RecoveryReport, Storage,
 };
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 type Shard = Durable<ConcurrentTree<u64, u64>>;
 type Entries = Vec<(u64, u64)>;
 
-/// A batch spanning shards: the last worker to finish replies.
-struct BatchAgg {
-    req_id: u64,
-    remaining: AtomicUsize,
-    fast: AtomicU64,
-    reply: Sender<Vec<u8>>,
+/// Most messages one drain applies before it waits for durability. Every
+/// answer after the drain's first write is held until that wait returns,
+/// so the cap bounds held-reply memory when producers outpace the worker.
+const DRAIN_CAP: usize = 4096;
+
+/// What a request fanned out to several shards gathers from each.
+trait Gather {
+    type Part;
+    fn add(&mut self, part: Self::Part);
+    fn reply(self) -> Reply;
 }
 
-impl BatchAgg {
-    fn done(&self, fast: u64) {
-        self.fast.fetch_add(fast, Ordering::Relaxed);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let fast = self.fast.load(Ordering::Acquire);
-            let _ = self.reply.send(encode_reply(
-                self.req_id,
-                &Ok(Reply::BatchInserted { fast }),
-            ));
-        }
+/// A client `InsertBatch` spanning shards: fast-path entries summed.
+struct FastSum(u64);
+
+impl Gather for FastSum {
+    type Part = u64;
+    fn add(&mut self, fast: u64) {
+        self.0 += fast;
+    }
+    fn reply(self) -> Reply {
+        Reply::BatchInserted { fast: self.0 }
     }
 }
 
 /// A range spanning shards: per-shard results land in slot order (shard
 /// ranges are disjoint and ascending, so concatenation is globally
-/// sorted), and the last worker truncates to the limit and replies.
-struct RangeAgg {
-    req_id: u64,
+/// sorted), truncated to the limit.
+struct RangeParts {
     limit: usize,
-    remaining: AtomicUsize,
-    slots: Mutex<Vec<Option<Entries>>>,
-    reply: Sender<Vec<u8>>,
+    slots: Vec<Entries>,
 }
 
-impl RangeAgg {
-    fn done(&self, slot: usize, entries: Vec<(u64, u64)>) {
-        self.slots.lock().unwrap()[slot] = Some(entries);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut out = Vec::new();
-            for part in self.slots.lock().unwrap().iter_mut() {
-                out.extend(part.take().unwrap_or_default());
-                if out.len() >= self.limit {
-                    break;
-                }
+impl Gather for RangeParts {
+    type Part = (usize, Entries);
+    fn add(&mut self, (slot, entries): (usize, Entries)) {
+        self.slots[slot] = entries;
+    }
+    fn reply(self) -> Reply {
+        let mut out = Vec::new();
+        for part in self.slots {
+            out.extend(part);
+            if out.len() >= self.limit {
+                break;
             }
-            out.truncate(self.limit);
-            let _ = self
-                .reply
-                .send(encode_reply(self.req_id, &Ok(Reply::Entries(out))));
         }
+        out.truncate(self.limit);
+        Reply::Entries(out)
     }
 }
 
 /// Stats across every shard, summed by the workers themselves.
-struct StatsAgg {
+impl Gather for ServiceStats {
+    type Part = ServiceStats;
+    fn add(&mut self, part: ServiceStats) {
+        self.len += part.len;
+        self.fast_inserts += part.fast_inserts;
+        self.top_inserts += part.top_inserts;
+        self.wal_appends += part.wal_appends;
+        self.wal_fsyncs += part.wal_fsyncs;
+    }
+    fn reply(self) -> Reply {
+        Reply::Stats(self)
+    }
+}
+
+/// A request fanned out to `remaining` shards: parts gather under a lock,
+/// the first error wins, and the last shard to finish sends the reply.
+struct Agg<G> {
     req_id: u64,
     remaining: AtomicUsize,
-    acc: Mutex<ServiceStats>,
+    acc: Mutex<Result<G>>,
     reply: Sender<Vec<u8>>,
 }
 
-impl StatsAgg {
-    fn done(&self, part: ServiceStats) {
-        {
-            let mut acc = self.acc.lock().unwrap();
-            acc.len += part.len;
-            acc.fast_inserts += part.fast_inserts;
-            acc.top_inserts += part.top_inserts;
-            acc.wal_appends += part.wal_appends;
-            acc.wal_fsyncs += part.wal_fsyncs;
-            acc.shards = part.shards;
+impl<G: Gather> Agg<G> {
+    fn new(req_id: u64, parts: usize, acc: G, reply: &Sender<Vec<u8>>) -> Arc<Self> {
+        Arc::new(Agg {
+            req_id,
+            remaining: AtomicUsize::new(parts),
+            acc: Mutex::new(Ok(acc)),
+            reply: reply.clone(),
+        })
+    }
+
+    fn done(&self, part: Result<G::Part>) {
+        let mut acc = self.acc.lock().expect("a shard worker panicked mid-gather");
+        match part {
+            Ok(part) => {
+                if let Ok(acc) = &mut *acc {
+                    acc.add(part);
+                }
+            }
+            Err(e) => {
+                if acc.is_ok() {
+                    *acc = Err(e);
+                }
+            }
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let stats = *self.acc.lock().unwrap();
+            let out = std::mem::replace(&mut *acc, Err(Error::Shutdown));
             let _ = self
                 .reply
-                .send(encode_reply(self.req_id, &Ok(Reply::Stats(stats))));
+                .send(encode_reply(self.req_id, &out.map(G::reply)));
         }
     }
 }
@@ -134,14 +176,14 @@ enum ShardMsg {
     /// `Inserted` reply once the whole run is applied (and durable, per
     /// the configured level).
     Run {
-        entries: Vec<(u64, u64)>,
+        entries: Entries,
         req_ids: Vec<u64>,
         reply: Sender<Vec<u8>>,
     },
     /// One shard's slice of a client `InsertBatch`.
     Batch {
-        entries: Vec<(u64, u64)>,
-        agg: Arc<BatchAgg>,
+        entries: Entries,
+        agg: Arc<Agg<FastSum>>,
     },
     Get {
         key: u64,
@@ -158,67 +200,208 @@ enum ShardMsg {
         end: u64,
         fetch: usize,
         slot: usize,
-        agg: Arc<RangeAgg>,
+        agg: Arc<Agg<RangeParts>>,
     },
     Stats {
-        agg: Arc<StatsAgg>,
-        shards: u32,
+        agg: Arc<Agg<ServiceStats>>,
     },
 }
 
-fn shard_worker(mut shard: Shard, rx: Receiver<ShardMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Run {
-                entries,
-                req_ids,
-                reply,
-            } => {
-                shard.insert_batch(&entries);
-                for id in req_ids {
-                    let _ = reply.send(encode_reply(id, &Ok(Reply::Inserted)));
+impl ShardMsg {
+    /// Answers the message with `err` without applying it.
+    fn refuse(self, err: &dyn Fn() -> Error) {
+        let answer = match self {
+            ShardMsg::Run { req_ids, reply, .. } => Answer::Run { req_ids, reply },
+            ShardMsg::Batch { agg, .. } => Answer::Batch(agg, 0),
+            ShardMsg::Get { req_id, reply, .. } | ShardMsg::Delete { req_id, reply, .. } => {
+                Answer::One {
+                    req_id,
+                    answer: Reply::Got(None),
+                    reply,
                 }
             }
-            ShardMsg::Batch { entries, agg } => {
-                let fast = shard.insert_batch(&entries);
-                agg.done(fast as u64);
-            }
-            ShardMsg::Get { key, req_id, reply } => {
-                let got = shard.tree().get(key);
-                let _ = reply.send(encode_reply(req_id, &Ok(Reply::Got(got))));
-            }
-            ShardMsg::Delete { key, req_id, reply } => {
-                let prev = shard.delete(key);
-                let _ = reply.send(encode_reply(req_id, &Ok(Reply::Deleted(prev))));
-            }
-            ShardMsg::Range {
-                start,
-                end,
-                fetch,
-                slot,
-                agg,
-            } => {
-                let entries: Vec<(u64, u64)> =
-                    shard.tree().range(start..=end).take(fetch).collect();
-                agg.done(slot, entries);
-            }
-            ShardMsg::Stats { agg, shards } => {
-                let snap = shard.metrics();
-                agg.done(ServiceStats {
-                    len: shard.len() as u64,
-                    fast_inserts: snap.fast_inserts,
-                    top_inserts: snap.top_inserts,
-                    wal_appends: snap.wal_appends,
-                    wal_fsyncs: snap.wal_fsyncs,
-                    shards,
-                });
+            ShardMsg::Range { slot, agg, .. } => Answer::Range(agg, slot, Vec::new()),
+            ShardMsg::Stats { agg } => Answer::Stats(agg, ServiceStats::default()),
+        };
+        answer.finish(Some(err));
+    }
+}
+
+/// An applied message's answer: sent at once, or held until every write
+/// the worker applied before it is durable.
+enum Answer {
+    /// `Inserted` for every id of a buffered run.
+    Run {
+        req_ids: Vec<u64>,
+        reply: Sender<Vec<u8>>,
+    },
+    One {
+        req_id: u64,
+        answer: Reply,
+        reply: Sender<Vec<u8>>,
+    },
+    Batch(Arc<Agg<FastSum>>, u64),
+    Range(Arc<Agg<RangeParts>>, usize, Entries),
+    Stats(Arc<Agg<ServiceStats>>, ServiceStats),
+}
+
+impl Answer {
+    /// Sends the answer, or `err()` in its place.
+    fn finish(self, err: Option<&dyn Fn() -> Error>) {
+        fn status<T>(ok: T, err: Option<&dyn Fn() -> Error>) -> Result<T> {
+            match err {
+                Some(err) => Err(err()),
+                None => Ok(ok),
             }
         }
+        match self {
+            Answer::Run { req_ids, reply } => {
+                for id in req_ids {
+                    let _ = reply.send(encode_reply(id, &status(Reply::Inserted, err)));
+                }
+            }
+            Answer::One {
+                req_id,
+                answer,
+                reply,
+            } => {
+                let _ = reply.send(encode_reply(req_id, &status(answer, err)));
+            }
+            Answer::Batch(agg, fast) => agg.done(status(fast, err)),
+            Answer::Range(agg, slot, entries) => agg.done(status((slot, entries), err)),
+            Answer::Stats(agg, stats) => agg.done(status(stats, err)),
+        }
+    }
+}
+
+/// Applies one message, logging its writes without waiting for
+/// durability. Returns the answer and either the LSN the answer must wait
+/// for (`None` for reads, and for writes below `GroupCommit`) or the WAL
+/// error that stopped the write before it was applied.
+fn apply(shard: &mut Shard, msg: ShardMsg) -> (Answer, Result<Option<Lsn>>) {
+    match msg {
+        ShardMsg::Run {
+            entries,
+            req_ids,
+            reply,
+        } => {
+            let lsn = shard.insert_batch_nowait(&entries).map(|(_, lsn)| lsn);
+            (Answer::Run { req_ids, reply }, lsn)
+        }
+        ShardMsg::Batch { entries, agg } => match shard.insert_batch_nowait(&entries) {
+            Ok((fast, lsn)) => (Answer::Batch(agg, fast as u64), Ok(lsn)),
+            Err(e) => (Answer::Batch(agg, 0), Err(e)),
+        },
+        ShardMsg::Get { key, req_id, reply } => {
+            let answer = Reply::Got(shard.tree().get(key));
+            (
+                Answer::One {
+                    req_id,
+                    answer,
+                    reply,
+                },
+                Ok(None),
+            )
+        }
+        ShardMsg::Delete { key, req_id, reply } => {
+            let (prev, lsn) = match shard.delete_nowait(key) {
+                Ok((prev, lsn)) => (prev, Ok(lsn)),
+                Err(e) => (None, Err(e)),
+            };
+            (
+                Answer::One {
+                    req_id,
+                    answer: Reply::Deleted(prev),
+                    reply,
+                },
+                lsn,
+            )
+        }
+        ShardMsg::Range {
+            start,
+            end,
+            fetch,
+            slot,
+            agg,
+        } => {
+            let entries = shard.tree().range(start..=end).take(fetch).collect();
+            (Answer::Range(agg, slot, entries), Ok(None))
+        }
+        ShardMsg::Stats { agg } => {
+            let snap = shard.metrics();
+            let stats = ServiceStats {
+                len: shard.len() as u64,
+                fast_inserts: snap.fast_inserts,
+                top_inserts: snap.top_inserts,
+                wal_appends: snap.wal_appends,
+                wal_fsyncs: snap.wal_fsyncs,
+                // Set once by the aggregate.
+                shards: 0,
+            };
+            (Answer::Stats(agg, stats), Ok(None))
+        }
+    }
+}
+
+/// The shard's single-writer group-commit loop (see the module docs).
+/// Returns the WAL error that stopped it, if any.
+fn shard_worker(mut shard: Shard, rx: Receiver<ShardMsg>) -> Result<()> {
+    let mut held: Vec<Answer> = Vec::new();
+    while let Ok(first) = rx.recv() {
+        // Highest LSN applied in this drain that still needs a durability
+        // wait; answers are held from the moment it is set.
+        let mut pending: Option<Lsn> = None;
+        let mut failure = None;
+        let drain = std::iter::once(first)
+            .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+            .take(DRAIN_CAP);
+        for msg in drain {
+            let (answer, logged) = apply(&mut shard, msg);
+            match logged {
+                Ok(lsn) => {
+                    pending = pending.max(lsn);
+                    if pending.is_some() {
+                        held.push(answer);
+                    } else {
+                        answer.finish(None);
+                    }
+                }
+                Err(e) => {
+                    held.push(answer);
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        #[cfg(feature = "inject-early-reply")]
+        for answer in held.drain(..) {
+            answer.finish(None);
+        }
+        if failure.is_none() {
+            failure = shard.wait_durable(pending).err();
+        }
+        let Some(e) = failure else {
+            for answer in held.drain(..) {
+                answer.finish(None);
+            }
+            continue;
+        };
+        // The log is poisoned: held answers cannot be promised durable,
+        // and nothing after them will be applied. Keep answering until
+        // every sender is gone so no request is dropped unanswered.
+        let msg = e.to_string();
+        for answer in held.drain(..) {
+            answer.finish(Some(&|| Error::wal(msg.clone())));
+        }
+        for later in rx.iter() {
+            later.refuse(&|| Error::Shutdown);
+        }
+        return Err(Error::wal(msg));
     }
     // Every connection and the acceptor dropped their senders: final
     // durability point before the thread exits (the log may hold
     // buffered bytes at the `Buffered` level).
-    let _ = shard.commit_all();
+    shard.commit_all()
 }
 
 /// The sharded TCP server. Construction recovers every shard (each from
@@ -230,7 +413,7 @@ pub struct Server {
     stopping: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<Result<()>>>,
 }
 
 impl Server {
@@ -350,39 +533,41 @@ impl Server {
         for conn in self.conns.lock().unwrap().drain(..) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        let mut poisoned = 0usize;
+        let mut failed = 0usize;
         for h in self.workers.drain(..) {
-            if h.join().is_err() {
-                poisoned += 1;
+            if !matches!(h.join(), Ok(Ok(()))) {
+                failed += 1;
             }
         }
-        if poisoned > 0 {
+        if failed > 0 {
             return Err(Error::wal(format!(
-                "{poisoned} shard worker(s) died on a poisoned WAL"
+                "{failed} shard worker(s) stopped on a WAL failure"
             )));
         }
         Ok(())
     }
 }
 
-/// Submits one buffered run, answering `Shutdown` per request if the
-/// shard's worker is gone.
-fn submit_run(
-    tx: &Sender<ShardMsg>,
-    entries: Vec<(u64, u64)>,
-    req_ids: Vec<u64>,
-    reply: &Sender<Vec<u8>>,
-) {
-    let msg = ShardMsg::Run {
-        entries,
-        req_ids,
-        reply: reply.clone(),
-    };
-    if let Err(std::sync::mpsc::SendError(ShardMsg::Run { req_ids, .. })) = tx.send(msg) {
-        for id in req_ids {
-            let _ = reply.send(encode_reply(id, &Err(Error::Shutdown)));
-        }
+/// Sends `msg` to a shard worker, answering it with `Shutdown` if the
+/// worker is gone.
+fn submit(tx: &Sender<ShardMsg>, msg: ShardMsg) {
+    if let Err(SendError(msg)) = tx.send(msg) {
+        msg.refuse(&|| Error::Shutdown);
     }
+}
+
+/// Submits one buffered run of single inserts.
+fn submit_run(tx: &Sender<ShardMsg>, run: (Entries, Vec<u64>), reply: &Sender<Vec<u8>>) {
+    let (entries, req_ids) = run;
+    let reply = reply.clone();
+    submit(
+        tx,
+        ShardMsg::Run {
+            entries,
+            req_ids,
+            reply,
+        },
+    );
 }
 
 fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: usize) {
@@ -413,14 +598,14 @@ fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: us
             // reach the workers (in channel order) before the new
             // request does.
             for (shard, entries, req_ids) in batcher.drain() {
-                submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
+                submit_run(&shard_txs[shard], (entries, req_ids), &reply_tx);
             }
         }
 
         match req {
             Request::Insert { key, value } => {
                 if let Some((shard, entries, req_ids)) = batcher.push(req_id, key, value) {
-                    submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
+                    submit_run(&shard_txs[shard], (entries, req_ids), &reply_tx);
                 }
             }
             Request::InsertBatch { entries } => {
@@ -429,48 +614,22 @@ fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: us
                     let _ =
                         reply_tx.send(encode_reply(req_id, &Ok(Reply::BatchInserted { fast: 0 })));
                 } else {
-                    let agg = Arc::new(BatchAgg {
-                        req_id,
-                        remaining: AtomicUsize::new(runs.len()),
-                        fast: AtomicU64::new(0),
-                        reply: reply_tx.clone(),
-                    });
+                    let agg = Agg::new(req_id, runs.len(), FastSum(0), &reply_tx);
                     for (shard, entries) in runs {
-                        let msg = ShardMsg::Batch {
-                            entries,
-                            agg: agg.clone(),
-                        };
-                        if shard_txs[shard].send(msg).is_err() {
-                            // Count the dead shard's slice as done with no
-                            // fast-path entries; the client still gets one
-                            // reply. (A dead worker means a poisoned WAL;
-                            // the next non-batch request reports it.)
-                            agg.done(0);
-                        }
+                        let agg = agg.clone();
+                        submit(&shard_txs[shard], ShardMsg::Batch { entries, agg });
                     }
                 }
             }
             Request::Get { key } => {
                 let shard = crate::router::shard_of(key, shards);
-                let msg = ShardMsg::Get {
-                    key,
-                    req_id,
-                    reply: reply_tx.clone(),
-                };
-                if shard_txs[shard].send(msg).is_err() {
-                    let _ = reply_tx.send(encode_reply(req_id, &Err(Error::Shutdown)));
-                }
+                let reply = reply_tx.clone();
+                submit(&shard_txs[shard], ShardMsg::Get { key, req_id, reply });
             }
             Request::Delete { key } => {
                 let shard = crate::router::shard_of(key, shards);
-                let msg = ShardMsg::Delete {
-                    key,
-                    req_id,
-                    reply: reply_tx.clone(),
-                };
-                if shard_txs[shard].send(msg).is_err() {
-                    let _ = reply_tx.send(encode_reply(req_id, &Err(Error::Shutdown)));
-                }
+                let reply = reply_tx.clone();
+                submit(&shard_txs[shard], ShardMsg::Delete { key, req_id, reply });
             }
             Request::Range { start, end, limit } => {
                 let limit = if limit == 0 || limit > MAX_RANGE_RESULTS {
@@ -483,13 +642,11 @@ fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: us
                 if count == 0 {
                     let _ = reply_tx.send(encode_reply(req_id, &Ok(Reply::Entries(Vec::new()))));
                 } else {
-                    let agg = Arc::new(RangeAgg {
-                        req_id,
+                    let parts = RangeParts {
                         limit,
-                        remaining: AtomicUsize::new(count),
-                        slots: Mutex::new(vec![None; count]),
-                        reply: reply_tx.clone(),
-                    });
+                        slots: vec![Vec::new(); count],
+                    };
+                    let agg = Agg::new(req_id, count, parts, &reply_tx);
                     for (slot, shard) in span.enumerate() {
                         let msg = ShardMsg::Range {
                             start,
@@ -498,27 +655,18 @@ fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: us
                             slot,
                             agg: agg.clone(),
                         };
-                        if shard_txs[shard].send(msg).is_err() {
-                            agg.done(slot, Vec::new());
-                        }
+                        submit(&shard_txs[shard], msg);
                     }
                 }
             }
             Request::Stats => {
-                let agg = Arc::new(StatsAgg {
-                    req_id,
-                    remaining: AtomicUsize::new(shards),
-                    acc: Mutex::new(ServiceStats::default()),
-                    reply: reply_tx.clone(),
-                });
+                let acc = ServiceStats {
+                    shards: shards as u32,
+                    ..ServiceStats::default()
+                };
+                let agg = Agg::new(req_id, shards, acc, &reply_tx);
                 for tx in &shard_txs {
-                    let msg = ShardMsg::Stats {
-                        agg: agg.clone(),
-                        shards: shards as u32,
-                    };
-                    if tx.send(msg).is_err() {
-                        agg.done(ServiceStats::default());
-                    }
+                    submit(tx, ShardMsg::Stats { agg: agg.clone() });
                 }
             }
         }
@@ -527,13 +675,13 @@ fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: us
         // so the next read may block — flush what this burst accumulated.
         if !batcher.is_empty() && reader.buffer().is_empty() {
             for (shard, entries, req_ids) in batcher.drain() {
-                submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
+                submit_run(&shard_txs[shard], (entries, req_ids), &reply_tx);
             }
         }
     }
 
     for (shard, entries, req_ids) in batcher.drain() {
-        submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
+        submit_run(&shard_txs[shard], (entries, req_ids), &reply_tx);
     }
     // Dropping reply_tx lets the writer drain outstanding worker replies
     // and exit once the last agg/worker clone drops.
