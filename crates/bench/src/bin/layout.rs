@@ -1,36 +1,34 @@
-//! Fig 8/9-style node-layout comparison: dense + binary (the bit-for-bit
-//! paper path), dense + SIMD, and gapped + SIMD, across sorted,
+//! Fig 8/9-style intra-node search comparison on dense leaves: binary
+//! search (the bit-for-bit paper path) vs SIMD, across sorted,
 //! near-sorted, and fully random ingest, with per-config point-lookup
 //! latency over the populated trees and machine-readable output.
 //!
 //! Grid: workloads {sorted (K=0), near-sorted (K=5%), random (K=100%)} ×
-//! layouts {dense-scalar, dense-simd, gapped-simd}. Every cell reports
-//! ns/insert and ns/lookup, and the matrix is written as hand-rolled JSON
-//! to `results/layout.json`.
+//! configs {dense-scalar, dense-simd}. Every cell reports ns/insert and
+//! ns/lookup, and the matrix is written as hand-rolled JSON to
+//! `results/layout.json`.
 //!
 //! `--check` turns the run into a self-asserting smoke test for CI: the
 //! emitted document must pass the shared mini JSON validator, every cell
-//! must have made progress with identical tree contents across layouts,
-//! the gapped + SIMD configuration must win ns/insert on fully random
-//! ingest (where gap absorption replaces the half-node memmove and the
-//! headroom split cuts the split count — the layout's home turf), and the
-//! sorted / near-sorted workloads must stay within [`NOISE_TOLERANCE`] of
-//! the dense-scalar baseline (QuIT's poℓe already absorbs the in-order
-//! bulk there, so the honest claim is "never slower", not "wins").
-//! Under `QUIT_FORCE_SCALAR=1` (the cross-arch guard: every `simd_*`
-//! probe falls back to the portable branchless ladder) the win assertion
+//! must have made progress with identical tree contents across configs,
+//! dense + SIMD must win ns/insert on fully random ingest (where every
+//! insert pays a full intra-node search), and the sorted / near-sorted
+//! workloads must stay within [`NOISE_TOLERANCE`] of the dense-scalar
+//! baseline (QuIT's poℓe already absorbs the in-order bulk there, so the
+//! honest claim is "never slower", not "wins"). Under
+//! `QUIT_FORCE_SCALAR=1` (the cross-arch guard: every `simd_*` probe
+//! falls back to the portable branchless ladder) the win assertion
 //! relaxes to a regression bound too — the scalar fallback must be
 //! *safe* everywhere, not fast.
 
 use bods::{point_lookup_keys, BodsSpec};
 use quit_bench::{ingest_index, json_is_valid, print_table, time_point_lookups, Opts};
-use quit_core::{simd_force_disabled, NodeLayoutKind, SearchKind, Variant};
+use quit_core::{simd_force_disabled, SearchKind, Variant};
 
 /// Allowed ns/insert regression where the claim is "no slower than the
 /// paper path": interleaved best-of-reps ratios on a shared 1-core runner
-/// still swing by ±15%, while a real slot-management regression (say,
-/// quadratic gap reuse turning every insert into a full-node scan) blows
-/// far past this.
+/// still swing by ±15%, while a real search regression (say, a kernel
+/// falling back to a full-node scan) blows far past this.
 const NOISE_TOLERANCE: f64 = 1.25;
 
 /// Bound used when the run cannot make a perf claim at all — `--quick`
@@ -39,28 +37,9 @@ const NOISE_TOLERANCE: f64 = 1.25;
 /// routine there, so only a blow-up should fail them.
 const SMOKE_TOLERANCE: f64 = 1.5;
 
-struct LayoutCfg {
-    label: &'static str,
-    layout: NodeLayoutKind,
-    kind: SearchKind,
-}
-
-const CONFIGS: [LayoutCfg; 3] = [
-    LayoutCfg {
-        label: "dense-scalar",
-        layout: NodeLayoutKind::Dense,
-        kind: SearchKind::Binary,
-    },
-    LayoutCfg {
-        label: "dense-simd",
-        layout: NodeLayoutKind::Dense,
-        kind: SearchKind::Simd,
-    },
-    LayoutCfg {
-        label: "gapped-simd",
-        layout: NodeLayoutKind::Gapped,
-        kind: SearchKind::Simd,
-    },
+const CONFIGS: [(&str, SearchKind); 2] = [
+    ("dense-scalar", SearchKind::Binary),
+    ("dense-simd", SearchKind::Simd),
 ];
 
 struct Cell {
@@ -83,7 +62,7 @@ fn main() {
     // `near_sorted` is a genuine BoDS stream: 5% of entries out of place,
     // each displaced at most 1% of the stream (L bounds the lateness).
     // Unbounded L would turn every straggler into a cold random descend,
-    // hiding the node-layout term this binary exists to measure.
+    // hiding the intra-node term this binary exists to measure.
     let workloads: [(&'static str, f64, f64); 3] = [
         ("sorted", 0.0, 1.0),
         ("near_sorted", 0.05, 0.01),
@@ -103,11 +82,8 @@ fn main() {
         let mut trees: Vec<Option<quit_core::BpTree<u64, u64>>> =
             (0..CONFIGS.len()).map(|_| None).collect();
         for _rep in 0..opts.reps.max(1) {
-            for (ci, cfg) in CONFIGS.iter().enumerate() {
-                let tree_config = opts
-                    .tree_config()
-                    .with_node_layout(cfg.layout)
-                    .with_search_kind(cfg.kind);
+            for (ci, &(_, kind)) in CONFIGS.iter().enumerate() {
+                let tree_config = opts.tree_config().with_search_kind(kind);
                 let run = ingest_index(
                     || Variant::Quit.build::<u64, u64>(tree_config.clone()),
                     &keys,
@@ -119,12 +95,12 @@ fn main() {
                 trees[ci] = Some(run.tree);
             }
         }
-        for (ci, cfg) in CONFIGS.iter().enumerate() {
+        for (ci, &(label, _)) in CONFIGS.iter().enumerate() {
             let mut tree = trees[ci].take().expect("populated above");
             let lookup_ns = time_point_lookups(&mut tree, &probes);
             cells.push(Cell {
                 workload,
-                config: cfg.label,
+                config: label,
                 insert_ns: best[ci],
                 lookup_ns,
                 len: tree.len(),
@@ -145,7 +121,7 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("Node layout × search kind (N={n}, best of {})", opts.reps),
+        &format!("Dense leaves × search kind (N={n}, best of {})", opts.reps),
         &["workload", "layout", "ns/insert", "ns/lookup"],
         &rows,
     );
@@ -157,10 +133,10 @@ fn main() {
     };
     for (workload, _, _) in workloads {
         let base = cell(workload, "dense-scalar").insert_ns;
-        let best = cell(workload, "gapped-simd").insert_ns;
+        let simd = cell(workload, "dense-simd").insert_ns;
         println!(
-            "{workload}: gapped-simd / dense-scalar insert ratio {:.3}",
-            best / base
+            "{workload}: dense-simd / dense-scalar insert ratio {:.3}",
+            simd / base
         );
     }
 
@@ -195,24 +171,18 @@ fn main() {
             );
         }
         for (workload, _, _) in workloads {
-            let base = cell(workload, "dense-scalar");
-            for config in ["dense-simd", "gapped-simd"] {
-                assert_eq!(
-                    cell(workload, config).len,
-                    base.len,
-                    "{workload}: {config} must hold the same keys as dense-scalar"
-                );
-            }
+            assert_eq!(
+                cell(workload, "dense-simd").len,
+                cell(workload, "dense-scalar").len,
+                "{workload}: dense-simd must hold the same keys as dense-scalar"
+            );
         }
         for (workload, bound, label) in [
             // Sorted and near-sorted ingest mostly ride the poℓe fast path
-            // (one key compare, no intra-node search, disorder-gated
-            // seeding never fires on the in-order bulk), so the honest
-            // claim there is "never slower than the paper path". Fully
-            // random ingest is where the layout must pay off: gap
-            // absorption replaces the half-node memmove and split headroom
-            // cuts the split count, so gapped-SIMD must beat dense-scalar
-            // outright.
+            // (one key compare, no intra-node search), so the honest claim
+            // there is "never slower than the paper path". Fully random
+            // ingest searches every node on every insert, so SIMD must
+            // beat dense-scalar outright.
             // Sorted ingest rides the poℓe append path at ~16 ns/insert,
             // so even at 2M keys the whole cell is ~30 ms of work — one
             // frequency-scaling transient swings the best-of-reps ratio by
@@ -223,26 +193,26 @@ fn main() {
             ("random", 1.02, "must win (2% measurement floor)"),
         ] {
             let base = cell(workload, "dense-scalar").insert_ns;
-            let best = cell(workload, "gapped-simd").insert_ns;
+            let simd = cell(workload, "dense-simd").insert_ns;
             // The cross-arch guard only proves the scalar fallback is
             // safe, and below ~1M keys the whole tree is cache-resident —
-            // the memmove/split savings the win assertion measures are
-            // smaller than scheduler noise there.
+            // the search savings the win assertion measures are smaller
+            // than scheduler noise there.
             let bound = if scalar_forced || n < 1_000_000 {
                 SMOKE_TOLERANCE.max(bound)
             } else {
                 bound
             };
             assert!(
-                best < base * bound,
-                "{workload}: gapped-simd {label}: {best:.1} ns vs dense-scalar {base:.1} ns \
+                simd < base * bound,
+                "{workload}: dense-simd {label}: {simd:.1} ns vs dense-scalar {base:.1} ns \
                  (bound {bound})"
             );
         }
         println!(
-            "check passed: JSON valid, layouts agree on contents, \
-             random gapped-simd/dense-scalar ratio {:.3}",
-            cell("random", "gapped-simd").insert_ns / cell("random", "dense-scalar").insert_ns
+            "check passed: JSON valid, configs agree on contents, \
+             random dense-simd/dense-scalar ratio {:.3}",
+            cell("random", "dense-simd").insert_ns / cell("random", "dense-scalar").insert_ns
         );
     }
 }

@@ -7,12 +7,12 @@
 //! ```
 //!
 //! `--cases` defaults to `QUIT_FUZZ_CASES` (else 20). Every case sweeps the
-//! K×L sortedness grid at two tree geometries; any divergence aborts with
-//! the offending spec so it can be replayed verbatim. CI runs a short soak
-//! via the fuzz-smoke job; leave this running with a big `--cases` for an
-//! overnight hunt.
+//! K×L sortedness grid at two tree geometries plus the SIMD search kind;
+//! any divergence aborts with the offending spec so it can be replayed
+//! verbatim. CI runs a short soak via the fuzz-smoke job; leave this
+//! running with a big `--cases` for an overnight hunt.
 
-use quit_core::{NodeLayoutKind, SearchKind};
+use quit_core::SearchKind;
 use quit_testkit::{fuzz_cases, replay, OpMix, OracleConfig, WorkloadSpec};
 use std::time::Instant;
 
@@ -50,11 +50,7 @@ fn main() {
             check_every: 64,
             ..OracleConfig::default()
         },
-        OracleConfig {
-            node_layout: NodeLayoutKind::Gapped,
-            search_kind: SearchKind::Simd,
-            ..OracleConfig::default()
-        },
+        OracleConfig::default().with_search_kind(SearchKind::Simd),
     ];
     let started = Instant::now();
     let mut total_ops = 0usize;

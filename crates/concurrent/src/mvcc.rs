@@ -31,14 +31,6 @@
 //! [`ConcurrentTree`] keeps duplicate keys) at the cost of a husk per
 //! ever-written key, reclaimed only by a checkpoint+reopen cycle in the
 //! durable wrapper.
-//!
-//! This is also what makes the Gapped layout's filler copies safe: a
-//! gapped leaf fills its gap slots with *clones* of the nearest live
-//! right neighbour's value — for an MVCC tree that is an `Arc` clone
-//! aliasing the same chain, never a deep copy of the versions. GC
-//! through any alias prunes the one shared chain, so a filler can never
-//! resurrect a version the collector reclaimed (pinned by
-//! `gc_vs_gapped_fillers` below against both layouts).
 
 use crate::sync::Mutex;
 use crate::{ConcConfig, ConcurrentTree};
@@ -96,8 +88,7 @@ impl<V: Clone> VersionChain<V> {
 
 /// A shared handle to one key's [`VersionChain`] — the value type
 /// [`MvccTree`] stores in its [`ConcurrentTree`]. Cloning is an `Arc`
-/// clone: every alias (including Gapped-layout filler copies) sees the
-/// same chain.
+/// clone: every alias sees the same chain.
 pub struct VersionCell<V>(Arc<Mutex<VersionChain<V>>>);
 
 impl<V> Clone for VersionCell<V> {
@@ -322,16 +313,10 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quit_core::NodeLayoutKind;
 
-    fn tiny(layout: NodeLayoutKind) -> MvccTree<u64, u64> {
-        // Tiny leaves force splits (and, for Gapped, filler seeding) with
-        // few keys.
-        MvccTree::new(
-            ConcConfig::paper_default()
-                .with_leaf_capacity(8)
-                .with_node_layout(layout),
-        )
+    fn tiny() -> MvccTree<u64, u64> {
+        // Tiny leaves force splits with few keys.
+        MvccTree::new(ConcConfig::paper_default().with_leaf_capacity(8))
     }
 
     fn write(t: &MvccTree<u64, u64>, key: u64, ts: u64, v: Option<u64>) -> bool {
@@ -341,7 +326,7 @@ mod tests {
 
     #[test]
     fn visibility_picks_newest_at_or_below_snapshot() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         write(&t, 5, 10, Some(100));
         write(&t, 5, 20, Some(200));
         write(&t, 5, 30, None); // delete
@@ -359,7 +344,7 @@ mod tests {
 
     #[test]
     fn apply_reports_previous_liveness() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         assert!(!write(&t, 1, 1, Some(10))); // absent -> live
         assert!(write(&t, 1, 2, Some(11))); // live -> live
         assert!(write(&t, 1, 3, None)); // live -> tombstone
@@ -368,7 +353,7 @@ mod tests {
 
     #[test]
     fn gc_prunes_exactly_the_unreachable_suffix() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         for ts in 1..=5u64 {
             write(&t, 7, ts * 10, Some(ts));
         }
@@ -388,7 +373,7 @@ mod tests {
 
     #[test]
     fn scan_at_is_a_point_in_time_image() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         for k in 0..20u64 {
             write(&t, k, 10, Some(k * 100));
         }
@@ -407,48 +392,40 @@ mod tests {
         assert_eq!(t.scan_at(5..10, 20).len(), 5);
     }
 
-    /// Satellite: Gapped-layout filler slots clone the neighbouring
-    /// cell — an `Arc` alias of the same chain, not a snapshot of its
-    /// versions. GC must therefore be visible through every alias, and a
-    /// filler must never resurrect a reclaimed version. Pinned against
-    /// both layouts so a future deep-copying layout change fails loudly.
+    /// GC prunes each key's one shared chain, so no read at any snapshot
+    /// may see a version the collector reclaimed, across leaf splits.
     #[test]
-    fn gc_vs_gapped_fillers_never_resurrects() {
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            let t = tiny(layout);
-            // Random-ish insertion order and enough keys to split leaves
-            // repeatedly, seeding gaps (filler clones) under Gapped.
-            let mut keys: Vec<u64> = (0..200).map(|i| (i * 37) % 211).collect();
-            keys.dedup();
-            for (i, &k) in keys.iter().enumerate() {
-                write(&t, k, 10 + i as u64, Some(k * 2));
-            }
-            // Overwrite every key, then GC below the overwrite ts.
-            let base = 10_000u64;
-            for (i, &k) in keys.iter().enumerate() {
-                write(&t, k, base + i as u64, Some(k * 3));
-            }
-            let reclaimed = t.gc(u64::MAX - 1);
-            assert_eq!(reclaimed, keys.len(), "layout {layout:?}");
-            // Every read — including ones that land on filler slots
-            // inside gapped leaves — must see only the surviving version,
-            // at every snapshot.
-            for &k in &keys {
-                assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
-                assert_eq!(
-                    t.read_at(k, base.saturating_sub(1)),
-                    None,
-                    "layout {layout:?}: GC'd version resurrected"
-                );
-            }
-            t.check_consistency().unwrap();
+    fn gc_never_resurrects_a_reclaimed_version() {
+        let t = tiny();
+        // Random-ish insertion order and enough keys to split leaves
+        // repeatedly.
+        let mut keys: Vec<u64> = (0..200).map(|i| (i * 37) % 211).collect();
+        keys.dedup();
+        for (i, &k) in keys.iter().enumerate() {
+            write(&t, k, 10 + i as u64, Some(k * 2));
         }
+        // Overwrite every key, then GC below the overwrite ts.
+        let base = 10_000u64;
+        for (i, &k) in keys.iter().enumerate() {
+            write(&t, k, base + i as u64, Some(k * 3));
+        }
+        let reclaimed = t.gc(u64::MAX - 1);
+        assert_eq!(reclaimed, keys.len());
+        for &k in &keys {
+            assert_eq!(t.read_at(k, u64::MAX), Some(k * 3));
+            assert_eq!(
+                t.read_at(k, base.saturating_sub(1)),
+                None,
+                "GC'd version of {k} resurrected"
+            );
+        }
+        t.check_consistency().unwrap();
     }
 
     #[test]
     fn lock_keys_is_deadlock_free_across_threads() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let t = Arc::new(tiny(NodeLayoutKind::Dense));
+        let t = Arc::new(tiny());
         let ts = Arc::new(AtomicU64::new(0));
         let threads: Vec<_> = (0..4)
             .map(|tid| {

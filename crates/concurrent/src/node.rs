@@ -28,7 +28,6 @@
 //! a tree-level keep-alive list instead of freeing them.
 
 use crate::sync::RwLock;
-use quit_core::GapMap;
 use std::sync::Arc;
 
 /// Shared handle to a locked node.
@@ -46,19 +45,10 @@ pub enum CNode<K, V> {
     },
     /// Data node.
     Leaf {
-        /// Entry keys, ascending (duplicates allowed). Under the gapped
-        /// layout some slots are *fillers* — each holds a copy of the
-        /// key/value pair of its nearest live slot to the right — so the
-        /// physical array stays fully sorted and value-correct for every
-        /// point read, including the latch-free OLC `leaf_get`.
+        /// Entry keys, ascending (duplicates allowed).
         keys: Vec<K>,
         /// Values parallel to `keys`.
         vals: Vec<V>,
-        /// Which physical slots are gap fillers (empty ⇒ dense). Only read
-        /// and written under the leaf's latch: optimistic raw readers never
-        /// consult it (the filler rule keeps raw reads value-correct), so
-        /// the buffer-pinning invariant does not extend to this bitmap.
-        gaps: GapMap,
         /// Next leaf in key order.
         next: Option<NodeRef<K, V>>,
         /// Inclusive lower separator bound (`None` = unbounded).
@@ -77,7 +67,6 @@ impl<K, V> CNode<K, V> {
         CNode::Leaf {
             keys: Vec::with_capacity(capacity + 1),
             vals: Vec::with_capacity(capacity + 1),
-            gaps: GapMap::new(),
             next: None,
             low: None,
             high: None,
@@ -113,12 +102,10 @@ impl<K, V> CNode<K, V> {
         matches!(self, CNode::Leaf { .. })
     }
 
-    /// Live entry count (leaves, gap fillers excluded) or separator count
-    /// (internal nodes).
+    /// Entry count (leaves) or separator count (internal nodes).
     pub fn len(&self) -> usize {
         match self {
-            CNode::Internal { keys, .. } => keys.len(),
-            CNode::Leaf { keys, gaps, .. } => keys.len() - gaps.count(),
+            CNode::Internal { keys, .. } | CNode::Leaf { keys, .. } => keys.len(),
         }
     }
 

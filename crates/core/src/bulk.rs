@@ -69,9 +69,7 @@ impl<K: Key, V> BpTree<K, V> {
     /// this entry) once it reaches `per_leaf` entries.
     fn append_one(&mut self, k: K, v: V, per_leaf: usize) {
         let tail = self.tail;
-        // Physical occupancy, not live: appending past trailing slots must
-        // never push a gapped leaf beyond its physical capacity.
-        let tail_len = self.arena.get(tail).as_leaf().physical_len();
+        let tail_len = self.arena.get(tail).as_leaf().len();
         let target = if tail_len >= per_leaf.min(self.config.leaf_capacity) {
             self.push_new_tail_leaf(k)
         } else {
@@ -90,7 +88,6 @@ impl<K: Key, V> BpTree<K, V> {
         let leaf = LeafNode {
             keys: Vec::with_capacity(self.config.leaf_capacity.min(1024)),
             vals: Vec::with_capacity(self.config.leaf_capacity.min(1024)),
-            gaps: crate::layout::GapMap::new(),
             next: None,
             prev: Some(old_tail),
             parent: self.arena.get(old_tail).parent(),
@@ -125,6 +122,13 @@ impl<K: Key, V> BpTree<K, V> {
         while i < run.len() {
             let (mut leaf_id, _, mut high, _) = self.descend(run[i].0);
             descents += 1;
+            // The leaf a descent reaches covers the key; without that the
+            // loop below would never advance.
+            assert!(
+                high.is_none_or(|h| run[i].0 < h),
+                "descent routed {:?} outside its leaf's bounds",
+                run[i].0
+            );
             // Stream entries into this leaf while they stay under its bound.
             while i < run.len() && high.is_none_or(|h| run[i].0 < h) {
                 if self.leaf_len(leaf_id) >= self.config.leaf_capacity {
@@ -227,13 +231,13 @@ impl<K: Key, V> BpTree<K, V> {
             return 1;
         }
         let take = space.min(chunk);
-        let in_order = {
-            let leaf = self.arena.get(leaf_id).as_leaf();
-            // The one-shot `extend` below grows the physical array by `take`;
-            // a gapped leaf may lack that physical headroom (its live space
-            // partly sits in interior gaps), so it uses the per-entry merge.
-            leaf.gaps.is_dense() && leaf.keys.last().is_none_or(|&last| last <= run[0].0)
-        };
+        let in_order = self
+            .arena
+            .get(leaf_id)
+            .as_leaf()
+            .keys
+            .last()
+            .is_none_or(|&last| last <= run[0].0);
         if in_order {
             // The whole chunk lands past the leaf's current maximum: one
             // bulk append, no per-entry search.

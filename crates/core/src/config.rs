@@ -1,7 +1,7 @@
 //! Tree configuration: node geometry, IKR tuning, the QuIT feature set,
 //! and the telemetry level.
 
-use crate::layout::{NodeLayoutKind, SearchKind};
+use crate::layout::SearchKind;
 use crate::metrics::MetricsLevel;
 
 /// Which rule locates the variable-split point `l` inside a full poℓe node
@@ -98,11 +98,6 @@ pub struct TreeConfig {
     /// latency histograms). See [`MetricsLevel`]; the default records
     /// counters and the window but never reads the clock.
     pub metrics_level: MetricsLevel,
-    /// Physical slot layout of leaf nodes. [`NodeLayoutKind::Dense`]
-    /// (default) is the bit-for-bit paper-reproduction path;
-    /// [`NodeLayoutKind::Gapped`] absorbs near-sorted inserts without
-    /// shifting by keeping bitmap-tracked gap slots inside leaves.
-    pub node_layout: NodeLayoutKind,
     /// Intra-node search algorithm. [`SearchKind::Binary`] (default) is the
     /// paper's `partition_point`; `Branchless` and `Simd` are the
     /// data-parallel alternatives. All kinds return identical positions.
@@ -128,7 +123,6 @@ impl TreeConfig {
             bulk_fill: 1.0,
             page_size_bytes: 4096,
             metrics_level: MetricsLevel::default(),
-            node_layout: NodeLayoutKind::Dense,
             search_kind: SearchKind::Binary,
             storage: StorageKind::Arena,
         }
@@ -148,7 +142,6 @@ impl TreeConfig {
             bulk_fill: 1.0,
             page_size_bytes: 4096,
             metrics_level: MetricsLevel::default(),
-            node_layout: NodeLayoutKind::Dense,
             search_kind: SearchKind::Binary,
             storage: StorageKind::Arena,
         }
@@ -249,12 +242,6 @@ impl TreeConfig {
     /// Builder-style override of the telemetry level.
     pub fn with_metrics_level(mut self, level: MetricsLevel) -> Self {
         self.metrics_level = level;
-        self
-    }
-
-    /// Builder-style override of the leaf slot layout.
-    pub fn with_node_layout(mut self, layout: NodeLayoutKind) -> Self {
-        self.node_layout = layout;
         self
     }
 
@@ -387,18 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn layout_and_search_knobs() {
+    fn search_knob() {
         let c = TreeConfig::paper_default();
-        assert_eq!(
-            c.node_layout,
-            NodeLayoutKind::Dense,
-            "paper path by default"
-        );
         assert_eq!(c.search_kind, SearchKind::Binary, "paper path by default");
-        let c = c
-            .with_node_layout(NodeLayoutKind::Gapped)
-            .with_search_kind(SearchKind::Simd);
-        assert_eq!(c.node_layout, NodeLayoutKind::Gapped);
+        let c = c.with_search_kind(SearchKind::Simd);
         assert_eq!(c.search_kind, SearchKind::Simd);
         c.assert_valid();
     }

@@ -10,9 +10,7 @@ use crate::node::Node;
 use crate::stats::Stats;
 use crate::tree::BpTree;
 
-// Removal requires `V: Clone` under the gapped layout: freed slots become
-// gap fillers that copy their live right neighbour (see `crate::layout`).
-impl<K: Key, V: Clone> BpTree<K, V> {
+impl<K: Key, V> BpTree<K, V> {
     /// Removes one entry with key `key` (the left-most when duplicates
     /// exist) and returns its value, or `None` when absent.
     pub fn delete(&mut self, key: K) -> Option<V> {
@@ -25,18 +23,10 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         // only on the tree's contents, never on node boundaries.
         let (leaf_id, pos) = self.run_head(leaf_id, pos, key);
         Stats::bump(&self.metrics.counters.deletes);
-        let layout = self.config.node_layout;
         let (value, now_len) = {
             let leaf = self.arena.get_mut(leaf_id).as_leaf_mut();
-            let v = crate::layout::remove_at(
-                layout,
-                &mut leaf.keys,
-                &mut leaf.vals,
-                &mut leaf.gaps,
-                pos,
-                usize::MAX,
-            );
-            (v, leaf.len())
+            leaf.keys.remove(pos);
+            (leaf.vals.remove(pos), leaf.len())
         };
         self.len -= 1;
 
@@ -271,21 +261,11 @@ impl<K: Key, V> BpTree<K, V> {
     // Leaf rebalancing: borrow from a sibling, else merge.
     // ------------------------------------------------------------------
 
-    /// Drops a leaf's gap fillers in place (no-op for dense leaves), so the
-    /// classical borrow/merge choreography can move physical slots freely.
-    pub(crate) fn compact_leaf(&mut self, id: NodeId) {
-        let leaf = self.arena.get_mut(id).as_leaf_mut();
-        crate::layout::compact(&mut leaf.keys, &mut leaf.vals, &mut leaf.gaps);
-    }
-
     fn rebalance_leaf(&mut self, leaf_id: NodeId) {
         let parent = match self.arena.get(leaf_id).parent() {
             Some(p) => p,
             None => return, // root leaf: no invariant to restore
         };
-        // Borrow/merge reason about physical slots; compacting first makes
-        // live == physical for every leaf involved (cheap no-op when dense).
-        self.compact_leaf(leaf_id);
         let idx = self.arena.get(parent).as_internal().child_index(leaf_id);
         let siblings = self.arena.get(parent).as_internal().children.clone();
 
@@ -309,7 +289,6 @@ impl<K: Key, V> BpTree<K, V> {
         let (first, second) = prefer_non_pole(left, right);
         for donor in [first, second].into_iter().flatten() {
             if can_donate(Some(donor)) {
-                self.compact_leaf(donor);
                 self.borrow_leaf(parent, leaf_id, donor);
                 return;
             }
@@ -317,7 +296,6 @@ impl<K: Key, V> BpTree<K, V> {
         // No donor: merge with a sibling (prefer non-poℓe partner).
         let (first, second) = prefer_non_pole(left, right);
         let partner = first.or(second).expect("non-root node has a sibling");
-        self.compact_leaf(partner);
         if Some(partner) == left {
             self.merge_leaves(parent, partner, leaf_id);
         } else {

@@ -43,12 +43,7 @@ impl<K: Key, V> BpTree<K, V> {
         self.fp.pole_next = None;
         self.fp.fails = 0;
     }
-}
 
-// Ingestion requires `V: Clone` because gapped leaves materialize filler
-// copies (split-time regap, gap-ifying removals); the dense paper path
-// never clones, but the bound is uniform so layouts stay swappable.
-impl<K: Key, V: Clone> BpTree<K, V> {
     /// Inserts an entry. Duplicate keys are allowed (this is an index, not a
     /// map); the new entry lands after existing equal keys.
     pub fn insert(&mut self, key: K, value: V) {
@@ -75,18 +70,7 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         let cap = self.config.leaf_capacity;
         let leaf = self.arena.get_mut(leaf_id).as_leaf_mut();
         debug_assert!(leaf.len() < cap);
-        match crate::layout::insert_at(
-            kind,
-            &mut leaf.keys,
-            &mut leaf.vals,
-            &mut leaf.gaps,
-            key,
-            value,
-            cap,
-        ) {
-            crate::layout::SlotInsert::Done(_) => {}
-            crate::layout::SlotInsert::Full => unreachable!("caller ensures room"),
-        }
+        crate::layout::insert_at(kind, &mut leaf.keys, &mut leaf.vals, key, value);
     }
 
     /// Classical root-to-leaf insert. Returns the accepting leaf and its
@@ -381,17 +365,7 @@ impl<K: Key, V: Clone> BpTree<K, V> {
             // (§5.2.1 tuning note) bounds how packed the left node is left,
             // trading space for fewer future split propagations.
             let fill_cap = ((plen as f64) * self.config.max_variable_fill).floor() as usize;
-            let mut pos = (l - 1).min(plen - 1).min(fill_cap.max(def));
-            if self.config.node_layout == crate::layout::NodeLayoutKind::Gapped {
-                // Leave ⌊√cap⌋ slots of physical headroom in the left
-                // node: the tight variable fill would hand split-time
-                // regap `cap - pos <= 1` free slots, so the leaves a
-                // near-sorted stream leaves behind — exactly where IKR
-                // predicts stragglers to land — would have no absorption
-                // capacity at all.
-                let want = (self.config.leaf_capacity as f64).sqrt().floor() as usize;
-                pos = pos.min(plen.saturating_sub(want).max(def));
-            }
+            let pos = (l - 1).min(plen - 1).min(fill_cap.max(def));
             let (right, sep) = self.split_leaf_at(pole, pos);
             self.fp.prev_id = Some(pole);
             self.fp.prev_min = Some(q);

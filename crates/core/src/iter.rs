@@ -202,15 +202,14 @@ impl<'a, K: Key, V> Iterator for RangeIter<'a, K, V> {
         loop {
             let id = self.leaf?;
             let leaf = self.tree.arena.get(id).as_leaf();
-            // Gap slots hold filler copies, not entries; yield live slots only.
-            if let Some(live) = leaf.gaps.next_live(self.pos, leaf.keys.len()) {
-                let k = leaf.keys[live];
+            if self.pos < leaf.keys.len() {
+                let k = leaf.keys[self.pos];
                 if !end_admits(&k, &self.end) {
                     self.leaf = None;
                     return None;
                 }
-                let item = (k, &leaf.vals[live]);
-                self.pos = live + 1;
+                let item = (k, &leaf.vals[self.pos]);
+                self.pos += 1;
                 return Some(item);
             }
             self.leaf = leaf.next;
@@ -236,10 +235,9 @@ impl<'a, K: Key, V> Iterator for TreeIter<'a, K, V> {
         loop {
             let id = self.leaf?;
             let leaf = self.tree.arena.get(id).as_leaf();
-            // Gap slots hold filler copies, not entries; yield live slots only.
-            if let Some(live) = leaf.gaps.next_live(self.pos, leaf.keys.len()) {
-                let item = (leaf.keys[live], &leaf.vals[live]);
-                self.pos = live + 1;
+            if self.pos < leaf.keys.len() {
+                let item = (leaf.keys[self.pos], &leaf.vals[self.pos]);
+                self.pos += 1;
                 return Some(item);
             }
             self.leaf = leaf.next;

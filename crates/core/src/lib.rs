@@ -125,9 +125,8 @@ pub use ikr::{ikr_bound, is_outlier, split_bound};
 pub use iter::{RangeIter, RangeScan, TreeIter};
 pub use key::{AnyBitPattern, Key, OrderedF64};
 pub use layout::{
-    branchless_partition_point, branchless_partition_point_by, compact, insert_at, lower_bound,
-    regap, remove_at, search_internal, search_leaf, simd_force_disabled, upper_bound, GapMap,
-    NodeLayoutKind, SearchKind, SlotInsert,
+    branchless_partition_point, branchless_partition_point_by, insert_at, lower_bound,
+    search_internal, search_leaf, simd_force_disabled, upper_bound, SearchKind,
 };
 pub use metrics::{
     Counter, FastPathWindow, HistogramSnapshot, LatencyHistogram, MetricsLevel, MetricsRegistry,

@@ -7,7 +7,6 @@
 //! merges, redistribution, and separator updates walk up without a re-descent.
 
 use crate::arena::NodeId;
-use crate::layout::GapMap;
 
 /// A node slot in the arena.
 #[derive(Debug)]
@@ -32,21 +31,12 @@ pub struct InternalNode<K> {
 }
 
 /// Data node: `keys` sorted ascending, `vals[i]` belongs to `keys[i]`.
-///
-/// Under [`crate::NodeLayoutKind::Gapped`] some physical slots are *gaps*
-/// tracked by `gaps`: each gap slot holds a copy of its nearest live right
-/// neighbour's entry (the strict filler rule), so `keys` stays fully sorted
-/// and key-level reads (`first`/`last`, separators, boundary checks) need no
-/// bitmap. Only value access, entry counting, and slot iteration are
-/// gap-aware. Dense leaves keep `gaps` empty and behave exactly as before.
 #[derive(Debug)]
 pub struct LeafNode<K, V> {
     /// Entry keys, sorted ascending (duplicates allowed).
     pub keys: Vec<K>,
     /// Entry values, parallel to `keys`.
     pub vals: Vec<V>,
-    /// Gap bitmap over the physical slots (empty for dense leaves).
-    pub gaps: GapMap,
     /// Next leaf in key order (interlinked pointers, §4.4).
     pub next: Option<NodeId>,
     /// Previous leaf in key order.
@@ -99,7 +89,6 @@ impl<K, V> LeafNode<K, V> {
         LeafNode {
             keys: Vec::new(),
             vals: Vec::new(),
-            gaps: GapMap::new(),
             next: None,
             prev: None,
             parent: None,
@@ -111,27 +100,19 @@ impl<K, V> LeafNode<K, V> {
         LeafNode {
             keys: Vec::with_capacity(cap),
             vals: Vec::with_capacity(cap),
-            gaps: GapMap::new(),
             next: None,
             prev: None,
             parent: None,
         }
     }
 
-    /// Number of *live* entries (physical slots minus gaps).
+    /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len() - self.gaps.count()
-    }
-
-    /// Number of physical slots, counting gaps.
-    #[inline]
-    pub fn physical_len(&self) -> usize {
         self.keys.len()
     }
 
-    /// True when the leaf holds no entries. (Trailing gaps are always
-    /// trimmed, so zero live entries implies zero physical slots.)
+    /// True when the leaf holds no entries.
     #[inline]
     #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {

@@ -51,7 +51,6 @@
 
 use crate::arena::NodeId;
 use crate::error::Error;
-use crate::layout::GapMap;
 use crate::node::{InternalNode, LeafNode, Node};
 use crate::pool::{crc32, MemPageStore, PageId, PageStore, PoolCounters};
 use std::cell::{Cell, RefCell};
@@ -130,6 +129,11 @@ fn id_or_nil(v: Option<NodeId>) -> u32 {
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
+/// Byte offset of a leaf page's reserved `u32` (after the tag and the
+/// length, parent, next and prev words). Always written as 0; the eager
+/// sweep in [`PagedNodes::from_image`] rejects a leaf page where it is not.
+const LEAF_RESERVED_AT: usize = 1 + 4 * 4;
+
 /// Serializes a node into a fresh page payload (not padded; the page
 /// image layer pads and checksums). Compiles for every `K`/`V`; only
 /// ever called once construction has pod-gated both.
@@ -142,11 +146,7 @@ fn encode_node<K, V>(node: &Node<K, V>) -> Vec<u8> {
             push_u32(&mut out, id_or_nil(l.parent));
             push_u32(&mut out, id_or_nil(l.next));
             push_u32(&mut out, id_or_nil(l.prev));
-            let words = l.gaps.raw_words();
-            push_u32(&mut out, words.len() as u32);
-            for w in words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            push_u32(&mut out, 0); // reserved
             for k in &l.keys {
                 push_pod(&mut out, k);
             }
@@ -180,30 +180,18 @@ fn decode_node<K, V>(bytes: &[u8]) -> Node<K, V> {
     off += 1;
     match tag {
         TAG_LEAF => {
-            let n_phys = read_u32(bytes, &mut off) as usize;
+            let n = read_u32(bytes, &mut off) as usize;
             let parent = opt_id(read_u32(bytes, &mut off));
             let next = opt_id(read_u32(bytes, &mut off));
             let prev = opt_id(read_u32(bytes, &mut off));
-            let n_words = read_u32(bytes, &mut off) as usize;
-            let mut gaps = GapMap::new();
-            for w in 0..n_words {
-                let word =
-                    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("page underflow"));
-                off += 8;
-                for bit in 0..64 {
-                    if (word >> bit) & 1 == 1 {
-                        gaps.set(w * 64 + bit);
-                    }
-                }
-            }
-            let mut leaf = LeafNode::with_capacity(n_phys);
-            for _ in 0..n_phys {
+            off += 4; // reserved
+            let mut leaf = LeafNode::with_capacity(n);
+            for _ in 0..n {
                 leaf.keys.push(read_pod::<K>(bytes, &mut off));
             }
-            for _ in 0..n_phys {
+            for _ in 0..n {
                 leaf.vals.push(read_pod::<V>(bytes, &mut off));
             }
-            leaf.gaps = gaps;
             leaf.parent = parent;
             leaf.next = next;
             leaf.prev = prev;
@@ -236,7 +224,7 @@ pub fn max_encoded_node_size<K, V>(leaf_capacity: usize, internal_capacity: usiz
     let (sk, sv) = (std::mem::size_of::<K>(), std::mem::size_of::<V>());
     let lc = leaf_capacity + 1;
     let ic = internal_capacity + 1;
-    let leaf = 1 + 4 * 5 + lc.div_ceil(64) * 8 + lc * (sk + sv);
+    let leaf = 1 + 4 * 5 + lc * (sk + sv);
     let internal = 1 + 4 * 3 + ic * sk + (ic + 1) * 4;
     leaf.max(internal)
 }
@@ -711,6 +699,13 @@ impl<K: 'static, V: 'static> PagedNodes<K, V> {
             if id >= next_id || freed.contains(&id) {
                 return Err(corrupt(&format!("page n{id} is not a live node id")));
             }
+            if payload.first() == Some(&TAG_LEAF)
+                && payload.get(LEAF_RESERVED_AT..LEAF_RESERVED_AT + 4) != Some(&[0; 4])
+            {
+                return Err(corrupt(&format!(
+                    "leaf page n{id} has a non-zero reserved word"
+                )));
+            }
             if base.insert(id, payload.to_vec()).is_some() {
                 return Err(corrupt(&format!("duplicate page n{id}")));
             }
@@ -808,27 +803,50 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrips_leaf_with_gaps_and_links() {
+    fn codec_roundtrips_dense_leaf_with_links() {
         let mut l: LeafNode<u64, u64> = LeafNode::new();
         for i in 0..70u64 {
             l.keys.push(i);
             l.vals.push(i * 10);
         }
-        l.gaps.set(3);
-        l.gaps.set(65);
         l.parent = Some(NodeId(5));
         l.next = Some(NodeId(9));
         let node = Node::Leaf(l);
         let bytes = encode_node(&node);
+        let reserved = &bytes[LEAF_RESERVED_AT..LEAF_RESERVED_AT + 4];
+        assert_eq!(reserved, [0; 4], "reserved word is written as 0");
+        assert_eq!(bytes.len(), LEAF_RESERVED_AT + 4 + 70 * 16);
         let back: Node<u64, u64> = decode_node(&bytes);
         let b = back.as_leaf();
-        assert_eq!(b.keys.len(), 70);
+        assert_eq!(b.keys, (0..70).collect::<Vec<u64>>());
         assert_eq!(b.vals[69], 690);
-        assert!(b.gaps.is_gap(3) && b.gaps.is_gap(65) && !b.gaps.is_gap(4));
-        assert_eq!(b.gaps.count(), 2);
         assert_eq!(b.parent, Some(NodeId(5)));
         assert_eq!(b.next, Some(NodeId(9)));
         assert_eq!(b.prev, None);
+    }
+
+    #[test]
+    fn image_with_nonzero_leaf_reserved_word_is_corrupt() {
+        let mut a = paged(4);
+        a.alloc(leaf(1, 10));
+        a.alloc(leaf(2, 20));
+        a.begin_op();
+        let mut image = a.to_image();
+        PagedNodes::<u64, u64>::from_image(&image, 4, 64, 64).expect("clean image opens");
+        // Walk to the second record: [id, len, crc] then the payload.
+        let mut off = IMAGE_MAGIC.len() + 4 * 5;
+        off += 12 + u32::from_le_bytes(image[off + 4..off + 8].try_into().unwrap()) as usize;
+        let id = u32::from_le_bytes(image[off..off + 4].try_into().unwrap());
+        let len = u32::from_le_bytes(image[off + 4..off + 8].try_into().unwrap()) as usize;
+        let payload = off + 12;
+        // Set only the reserved word, then recompute the record CRC so the
+        // field is the one thing wrong with the image.
+        image[payload + LEAF_RESERVED_AT] = 1;
+        let crc = record_crc(id, &image[payload..payload + len]);
+        image[off + 8..off + 12].copy_from_slice(&crc.to_le_bytes());
+        let err = PagedNodes::<u64, u64>::from_image(&image, 4, 64, 64).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "got: {err:?}");
+        assert!(err.to_string().contains("reserved"), "got: {err}");
     }
 
     #[test]

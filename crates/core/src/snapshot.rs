@@ -20,7 +20,8 @@ pub const TREE_IMAGE_MAGIC: &[u8; 6] = b"QPTB1\n";
 
 /// Byte length of the tree-metadata header that precedes the arena image:
 /// magic + mode byte + leaf/internal capacities + root/head/tail ids +
-/// height (`u32`s) + len + tops-at-last-split (`u64`s) + header CRC.
+/// height (`u32`s) + len + a reserved word, written as 0 and ignored on
+/// read (`u64`s) + header CRC.
 const TREE_HEADER_LEN: usize = 6 + 1 + 4 * 6 + 8 + 8 + 4;
 
 /// A portable, self-contained snapshot of an index.
@@ -61,7 +62,7 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
 // root/spine metadata — so reopening is mostly lazy: integrity (per-page
 // CRCs) is checked eagerly in one byte sweep, but nodes decode only when
 // an operation faults them in.
-impl<K: Key, V: Clone + 'static> BpTree<K, V> {
+impl<K: Key, V: 'static> BpTree<K, V> {
     /// Serializes a paged tree into a self-contained page image: a small
     /// metadata header (mode, geometry, root/head/tail, height, len) in
     /// front of the arena's page file. Returns `None` on the in-memory
@@ -87,7 +88,7 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
         out.extend_from_slice(&self.tail.0.to_le_bytes());
         out.extend_from_slice(&(self.height as u32).to_le_bytes());
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&self.tops_at_last_split.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&crc32(&out).to_le_bytes());
         out.extend_from_slice(&arena_image);
         Some(out)
@@ -148,7 +149,6 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
         let tail = crate::arena::NodeId(u32_at(23));
         let height = u32_at(27) as usize;
         let len = u64_at(31) as usize;
-        let tops_at_last_split = u64_at(39);
         let arena = crate::arena::Arena::from_image(
             arena_image,
             pool_pages,
@@ -175,7 +175,6 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
             mode,
             fp,
             metrics,
-            tops_at_last_split,
         };
         if tree.mode.has_fast_path() {
             // Faults in the tail leaf (and, for poℓe, its spine) — the

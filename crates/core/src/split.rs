@@ -7,22 +7,17 @@ use crate::node::{InternalNode, LeafNode, Node};
 use crate::stats::Stats;
 use crate::tree::BpTree;
 
-// Leaf splits require `V: Clone` under the gapped layout: the left half is
-// re-gapped after the split, which materializes filler copies.
-impl<K: Key, V: Clone> BpTree<K, V> {
+impl<K: Key, V> BpTree<K, V> {
     /// Splits `leaf_id` at entry index `pos` (entries `[pos..]` move to a new
     /// right sibling) and wires the new node into the leaf chain and the
     /// parent. Returns `(right_id, separator)` where `separator` is the new
     /// node's smallest key.
     ///
-    /// `1 <= pos <= len-1` so both halves are non-empty. Splits only happen
-    /// on full leaves, and a full leaf is always dense (live == capacity ⇒
-    /// zero gaps), so `pos` indexes physical == live slots.
+    /// `1 <= pos <= len-1` so both halves are non-empty.
     pub(crate) fn split_leaf_at(&mut self, leaf_id: NodeId, pos: usize) -> (NodeId, K) {
         Stats::bump(&self.metrics.counters.leaf_splits);
         let (right_keys, right_vals, old_next, parent) = {
             let leaf = self.arena.get_mut(leaf_id).as_leaf_mut();
-            debug_assert!(leaf.gaps.is_dense(), "split target must be dense (full)");
             debug_assert!(pos >= 1 && pos < leaf.len(), "bad split pos {pos}");
             let rk = leaf.keys.split_off(pos);
             let rv = leaf.vals.split_off(pos);
@@ -32,7 +27,6 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         let right = LeafNode {
             keys: right_keys,
             vals: right_vals,
-            gaps: crate::layout::GapMap::new(),
             next: old_next,
             prev: Some(leaf_id),
             parent,
@@ -44,48 +38,6 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         }
         if self.tail == leaf_id {
             self.tail = right_id;
-        }
-        if self.config.node_layout == crate::layout::NodeLayoutKind::Gapped {
-            // Gap placement from the poℓe/IKR prediction, gated on observed
-            // disorder: any top-insert since the previous leaf split means
-            // the stream is delivering out-of-order traffic, and the nodes
-            // this split freezes are exactly where the next stragglers
-            // land — spread `⌊√cap⌋` gaps over the left node's upper half
-            // (and over interior right nodes) so they absorb without
-            // shifting. A purely sorted stream never advances the
-            // top-insert counter between splits and never seeds a gap.
-            let tops = self.metrics.counters.top_inserts.get();
-            let disorder = tops > self.tops_at_last_split;
-            self.tops_at_last_split = tops;
-            if disorder {
-                let cap = self.config.leaf_capacity;
-                let want = (cap as f64).sqrt().floor() as usize;
-                let leaf = self.arena.get_mut(leaf_id).as_leaf_mut();
-                let mid = leaf.keys.len() / 2;
-                crate::layout::regap(
-                    &mut leaf.keys,
-                    &mut leaf.vals,
-                    &mut leaf.gaps,
-                    mid,
-                    want,
-                    cap,
-                );
-                // Append frontiers (the tail, a splitting poℓe/ℓiℓ) must
-                // stay dense: gaps there would force the in-order stream
-                // off its push fast path into rotate-to-gap shuffles once
-                // the physical length hits capacity.
-                if self.tail != right_id && self.fp.leaf != Some(leaf_id) {
-                    let right = self.arena.get_mut(right_id).as_leaf_mut();
-                    crate::layout::regap(
-                        &mut right.keys,
-                        &mut right.vals,
-                        &mut right.gaps,
-                        0,
-                        want,
-                        cap,
-                    );
-                }
-            }
         }
         // `poℓe_prev_{min,size}` are memoized at poℓe-split time and NOT
         // refreshed when the physical predecessor splits: the stale values
@@ -102,9 +54,7 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         let len = self.arena.get(leaf_id).as_leaf().len();
         self.split_leaf_at(leaf_id, len / 2)
     }
-}
 
-impl<K: Key, V> BpTree<K, V> {
     /// Links `right_id` (with lower bound `separator`) as the sibling
     /// immediately right of `left_id`, creating a new root or splitting
     /// ancestors as required.
@@ -193,10 +143,6 @@ impl<K: Key, V> BpTree<K, V> {
         move_count: usize,
     ) {
         Stats::bump(&self.metrics.counters.redistributions);
-        // The predecessor may hold gaps; dropping its fillers first keeps
-        // its physical length equal to its live occupancy, so the appended
-        // run cannot overflow the node. The poℓe itself is full ⇒ dense.
-        self.compact_leaf(prev_id);
         {
             let (pole, prev) = self.arena.get2_mut(pole_id, prev_id);
             let pole = pole.as_leaf_mut();

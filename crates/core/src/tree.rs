@@ -51,13 +51,6 @@ pub struct BpTree<K, V> {
     pub(crate) mode: FastPathMode,
     pub(crate) fp: FastPathState<K>,
     pub(crate) metrics: MetricsRegistry,
-    /// `top_inserts` snapshot taken at the previous leaf split — the
-    /// disorder signal for split-time gap seeding: any top-insert between
-    /// two splits means the stream is taking out-of-order traffic, so
-    /// freshly frozen nodes should be seeded with gaps (see
-    /// `split_leaf_at`). Purely sorted ingest never advances it, and
-    /// never pays for a single gap.
-    pub(crate) tops_at_last_split: u64,
 }
 
 impl<K: Key, V> BpTree<K, V> {
@@ -106,7 +99,6 @@ impl<K: Key, V> BpTree<K, V> {
             mode,
             fp,
             metrics,
-            tops_at_last_split: 0,
         }
     }
 
@@ -292,15 +284,7 @@ impl<K: Key, V> BpTree<K, V> {
             let leaf = self.arena.get(leaf_id).as_leaf();
             let pos = crate::layout::search_leaf(self.config.search_kind, &leaf.keys, key);
             if pos < leaf.keys.len() && leaf.keys[pos] == key {
-                // `pos` may be a gap slot whose filler copies a live `key`
-                // instance to its right; step to the live slot (the filler
-                // rule guarantees it carries the same key).
-                let live = leaf
-                    .gaps
-                    .next_live(pos, leaf.keys.len())
-                    .expect("last physical slot is always live");
-                debug_assert_eq!(leaf.keys[live], key);
-                return Some((leaf_id, live));
+                return Some((leaf_id, pos));
             }
             // The first entry >= key may live in an earlier leaf when a
             // duplicate run was split across nodes.
@@ -354,9 +338,7 @@ impl<K: Key, V> BpTree<K, V> {
         loop {
             let leaf = self.arena.get(leaf_id).as_leaf();
             while pos < leaf.keys.len() && leaf.keys[pos] == key {
-                if !leaf.gaps.is_gap(pos) {
-                    out.push(&leaf.vals[pos]);
-                }
+                out.push(&leaf.vals[pos]);
                 pos += 1;
             }
             if pos < leaf.keys.len() {
@@ -373,7 +355,7 @@ impl<K: Key, V> BpTree<K, V> {
         out
     }
 
-    /// Walks to the first *live* slot of the duplicate run containing
+    /// Walks to the first slot of the duplicate run containing
     /// `(leaf, pos)` for `key`.
     pub(crate) fn run_head(&self, mut leaf_id: NodeId, mut pos: usize, key: K) -> (NodeId, usize) {
         loop {
@@ -384,8 +366,6 @@ impl<K: Key, V> BpTree<K, V> {
             if pos == 0 {
                 if let Some(prev) = leaf.prev {
                     let pl = self.arena.get(prev).as_leaf();
-                    // The last physical slot is always live, so equality here
-                    // means a genuine entry of the run.
                     if pl.keys.last() == Some(&key) {
                         pos = pl.keys.len() - 1;
                         leaf_id = prev;
@@ -393,14 +373,7 @@ impl<K: Key, V> BpTree<K, V> {
                     }
                 }
             }
-            // The back-walk may land on a gap filler copying `key`; the
-            // first live slot at or after it is the true run head.
-            let live = leaf
-                .gaps
-                .next_live(pos, leaf.keys.len())
-                .expect("last physical slot is always live");
-            debug_assert_eq!(leaf.keys[live], key);
-            return (leaf_id, live);
+            return (leaf_id, pos);
         }
     }
 

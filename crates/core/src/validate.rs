@@ -164,45 +164,13 @@ impl<K: Key, V> BpTree<K, V> {
                 }
                 if l.keys.len() > self.config.leaf_capacity {
                     return err(format!(
-                        "leaf {id:?} holds {} physical slots > capacity {}",
+                        "leaf {id:?} holds {} entries > capacity {}",
                         l.keys.len(),
                         self.config.leaf_capacity
                     ));
                 }
                 if !l.keys.windows(2).all(|w| w[0] <= w[1]) {
                     return err(format!("leaf {id:?} keys unsorted"));
-                }
-                // Gap-layout invariants (trivially satisfied by dense leaves).
-                if self.config.node_layout == crate::layout::NodeLayoutKind::Dense
-                    && !l.gaps.is_dense()
-                {
-                    return err(format!("leaf {id:?} holds gaps under the dense layout"));
-                }
-                if !l.keys.is_empty() && l.gaps.is_gap(l.keys.len() - 1) {
-                    return err(format!("leaf {id:?} ends in a gap (trailing gaps trim)"));
-                }
-                let mut in_range_gaps = 0usize;
-                for i in 0..l.keys.len() {
-                    if l.gaps.is_gap(i) {
-                        in_range_gaps += 1;
-                        // Strict filler rule: a gap copies its nearest live
-                        // right neighbour, so each gap key equals the key of
-                        // the following slot (gap or live).
-                        if l.keys[i] != l.keys[i + 1] {
-                            return err(format!(
-                                "leaf {id:?} gap slot {i} filler key {:?} != next slot key {:?}",
-                                l.keys[i],
-                                l.keys[i + 1]
-                            ));
-                        }
-                    }
-                }
-                if in_range_gaps != l.gaps.count() {
-                    return err(format!(
-                        "leaf {id:?} gap bitmap counts {} but {} gaps lie in range",
-                        l.gaps.count(),
-                        in_range_gaps
-                    ));
                 }
                 for &k in &l.keys {
                     if low.is_some_and(|b| k < b) {

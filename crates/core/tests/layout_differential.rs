@@ -1,8 +1,8 @@
-//! Differential coverage for the node-layout/search redesign: the gapped
-//! layout and every `SearchKind` must be observationally identical to the
-//! dense + binary paper path on the full `BpTree` API surface.
+//! Differential coverage for the intra-node search kinds: `Branchless`
+//! and `Simd` must be observationally identical to the `Binary` paper
+//! path on the full `BpTree` API surface.
 
-use quit_core::{BpTree, FastPathMode, NodeLayoutKind, SearchKind, TreeConfig};
+use quit_core::{BpTree, FastPathMode, SearchKind, TreeConfig};
 use rand::prelude::*;
 
 const MODES: [FastPathMode; 4] = [
@@ -13,44 +13,39 @@ const MODES: [FastPathMode; 4] = [
 ];
 
 fn pair(mode: FastPathMode, cap: usize, kind: SearchKind) -> (BpTree<u64, u64>, BpTree<u64, u64>) {
-    let dense = BpTree::with_config(mode, TreeConfig::small(cap));
-    let gapped = BpTree::with_config(
-        mode,
-        TreeConfig::small(cap)
-            .with_node_layout(NodeLayoutKind::Gapped)
-            .with_search_kind(kind),
-    );
-    (dense, gapped)
+    let binary = BpTree::with_config(mode, TreeConfig::small(cap));
+    let other = BpTree::with_config(mode, TreeConfig::small(cap).with_search_kind(kind));
+    (binary, other)
 }
 
 /// Asserts the two trees agree on every read surface.
-fn assert_equivalent(dense: &BpTree<u64, u64>, gapped: &BpTree<u64, u64>, probe_keys: &[u64]) {
-    dense.check_invariants().unwrap();
-    gapped.check_invariants().unwrap();
-    assert_eq!(dense.len(), gapped.len());
-    assert_eq!(dense.min_key(), gapped.min_key());
-    assert_eq!(dense.max_key(), gapped.max_key());
-    let di: Vec<(u64, u64)> = dense.iter().map(|(k, v)| (k, *v)).collect();
-    let gi: Vec<(u64, u64)> = gapped.iter().map(|(k, v)| (k, *v)).collect();
-    assert_eq!(di, gi, "full iteration diverged");
+fn assert_equivalent(binary: &BpTree<u64, u64>, other: &BpTree<u64, u64>, probe_keys: &[u64]) {
+    binary.check_invariants().unwrap();
+    other.check_invariants().unwrap();
+    assert_eq!(binary.len(), other.len());
+    assert_eq!(binary.min_key(), other.min_key());
+    assert_eq!(binary.max_key(), other.max_key());
+    let bi: Vec<(u64, u64)> = binary.iter().map(|(k, v)| (k, *v)).collect();
+    let oi: Vec<(u64, u64)> = other.iter().map(|(k, v)| (k, *v)).collect();
+    assert_eq!(bi, oi, "full iteration diverged");
     for &k in probe_keys {
-        assert_eq!(dense.get(k), gapped.get(k), "get({k})");
-        assert_eq!(dense.get_all(k), gapped.get_all(k), "get_all({k})");
+        assert_eq!(binary.get(k), other.get(k), "get({k})");
+        assert_eq!(binary.get_all(k), other.get_all(k), "get_all({k})");
         assert_eq!(
-            dense.floor(k).map(|(k, v)| (k, *v)),
-            gapped.floor(k).map(|(k, v)| (k, *v)),
+            binary.floor(k).map(|(k, v)| (k, *v)),
+            other.floor(k).map(|(k, v)| (k, *v)),
             "floor({k})"
         );
         assert_eq!(
-            dense.ceiling(k).map(|(k, v)| (k, *v)),
-            gapped.ceiling(k).map(|(k, v)| (k, *v)),
+            binary.ceiling(k).map(|(k, v)| (k, *v)),
+            other.ceiling(k).map(|(k, v)| (k, *v)),
             "ceiling({k})"
         );
-        let dr: Vec<(u64, u64)> = dense.range(k..k + 64).map(|(k, v)| (k, *v)).collect();
-        let gr: Vec<(u64, u64)> = gapped.range(k..k + 64).map(|(k, v)| (k, *v)).collect();
+        let dr: Vec<(u64, u64)> = binary.range(k..k + 64).map(|(k, v)| (k, *v)).collect();
+        let gr: Vec<(u64, u64)> = other.range(k..k + 64).map(|(k, v)| (k, *v)).collect();
         assert_eq!(dr, gr, "range({k}..{})", k + 64);
-        let mut dc = dense.cursor_at(k);
-        let mut gc = gapped.cursor_at(k);
+        let mut dc = binary.cursor_at(k);
+        let mut gc = other.cursor_at(k);
         for _ in 0..8 {
             assert_eq!(
                 dc.next().map(|(k, v)| (k, *v)),
@@ -60,8 +55,8 @@ fn assert_equivalent(dense: &BpTree<u64, u64>, gapped: &BpTree<u64, u64>, probe_
         }
     }
     // Backward cursor over the whole tree.
-    let mut dc = dense.cursor_last();
-    let mut gc = gapped.cursor_last();
+    let mut dc = binary.cursor_last();
+    let mut gc = other.cursor_last();
     loop {
         let d = dc.prev().map(|(k, v)| (k, *v));
         let g = gc.prev().map(|(k, v)| (k, *v));
@@ -73,12 +68,12 @@ fn assert_equivalent(dense: &BpTree<u64, u64>, gapped: &BpTree<u64, u64>, probe_
 }
 
 #[test]
-fn near_sorted_ingest_matches_dense_in_every_mode() {
+fn near_sorted_ingest_matches_binary_in_every_mode() {
     let mut rng = StdRng::seed_from_u64(0x1a_0001);
     for mode in MODES {
-        let (mut dense, mut gapped) = pair(mode, 16, SearchKind::Branchless);
-        // Near-sorted stream with stragglers — the workload gapped leaves
-        // exist for: most keys ascend, a few arrive late.
+        let (mut binary, mut other) = pair(mode, 16, SearchKind::Branchless);
+        // Near-sorted stream with stragglers: most keys ascend, a few
+        // arrive late and take the in-leaf search.
         let mut keys: Vec<u64> = Vec::new();
         for i in 0..6000u64 {
             if rng.gen_bool(0.1) && i > 50 {
@@ -88,111 +83,89 @@ fn near_sorted_ingest_matches_dense_in_every_mode() {
             }
         }
         for &k in &keys {
-            dense.insert(k, k ^ 1);
-            gapped.insert(k, k ^ 1);
+            binary.insert(k, k ^ 1);
+            other.insert(k, k ^ 1);
         }
         let probes: Vec<u64> = keys.iter().step_by(97).copied().collect();
-        assert_equivalent(&dense, &gapped, &probes);
+        assert_equivalent(&binary, &other, &probes);
     }
 }
 
 #[test]
-fn random_churn_with_deletes_matches_dense() {
+fn random_churn_with_deletes_matches_binary() {
     let mut rng = StdRng::seed_from_u64(0x1a_0002);
     for mode in [FastPathMode::None, FastPathMode::Pole] {
-        let (mut dense, mut gapped) = pair(mode, 8, SearchKind::Simd);
+        let (mut binary, mut other) = pair(mode, 8, SearchKind::Simd);
         let mut live: Vec<u64> = Vec::new();
         for step in 0..12_000u32 {
             if !live.is_empty() && rng.gen_bool(0.35) {
                 let k = live.swap_remove(rng.gen_range(0..live.len()));
-                assert_eq!(dense.delete(k), gapped.delete(k), "delete({k}) step {step}");
+                assert_eq!(binary.delete(k), other.delete(k), "delete({k}) step {step}");
             } else {
                 let k = rng.gen_range(0..4000u64);
-                dense.insert(k, u64::from(step));
-                gapped.insert(k, u64::from(step));
+                binary.insert(k, u64::from(step));
+                other.insert(k, u64::from(step));
                 live.push(k);
             }
         }
         let probes: Vec<u64> = (0..4000u64).step_by(53).collect();
-        assert_equivalent(&dense, &gapped, &probes);
+        assert_equivalent(&binary, &other, &probes);
     }
 }
 
 #[test]
-fn duplicate_runs_match_across_layouts() {
-    for kind in [SearchKind::Binary, SearchKind::Branchless, SearchKind::Simd] {
-        let (mut dense, mut gapped) = pair(FastPathMode::Pole, 8, kind);
+fn duplicate_runs_match_across_search_kinds() {
+    for kind in [SearchKind::Branchless, SearchKind::Simd] {
+        let (mut binary, mut other) = pair(FastPathMode::Pole, 8, kind);
         // Heavy duplicate runs straddling many leaves, interleaved with
-        // deletes that punch gaps into the runs.
+        // deletes that punch holes into the runs.
         for i in 0..40u64 {
             for _ in 0..30 {
-                dense.insert(i * 5, i);
-                gapped.insert(i * 5, i);
+                binary.insert(i * 5, i);
+                other.insert(i * 5, i);
             }
         }
         for i in (0..40u64).step_by(3) {
             for _ in 0..7 {
-                assert_eq!(dense.delete(i * 5), gapped.delete(i * 5));
+                assert_eq!(binary.delete(i * 5), other.delete(i * 5));
             }
         }
         let probes: Vec<u64> = (0..210u64).collect();
-        assert_equivalent(&dense, &gapped, &probes);
+        assert_equivalent(&binary, &other, &probes);
     }
 }
 
 #[test]
 fn range_delete_and_pops_match() {
-    let (mut dense, mut gapped) = pair(FastPathMode::Pole, 12, SearchKind::Branchless);
+    let (mut binary, mut other) = pair(FastPathMode::Pole, 12, SearchKind::Branchless);
     for k in 0..3000u64 {
-        dense.insert(k * 3 % 2048, k);
-        gapped.insert(k * 3 % 2048, k);
+        binary.insert(k * 3 % 2048, k);
+        other.insert(k * 3 % 2048, k);
     }
-    assert_eq!(dense.delete_range(100, 900), gapped.delete_range(100, 900));
+    assert_eq!(binary.delete_range(100, 900), other.delete_range(100, 900));
     for _ in 0..50 {
-        assert_eq!(dense.pop_first(), gapped.pop_first());
-        assert_eq!(dense.pop_last(), gapped.pop_last());
+        assert_eq!(binary.pop_first(), other.pop_first());
+        assert_eq!(binary.pop_last(), other.pop_last());
     }
     let probes: Vec<u64> = (0..2048u64).step_by(31).collect();
-    assert_equivalent(&dense, &gapped, &probes);
+    assert_equivalent(&binary, &other, &probes);
 }
 
 #[test]
-fn bulk_paths_match_across_layouts() {
+fn bulk_paths_match_across_search_kinds() {
     let entries: Vec<(u64, u64)> = (0..5000u64).map(|k| (k * 2, k)).collect();
-    let dense_cfg = TreeConfig::small(16);
-    let gapped_cfg = TreeConfig::small(16)
-        .with_node_layout(NodeLayoutKind::Gapped)
-        .with_search_kind(SearchKind::Simd);
-    let mut dense: BpTree<u64, u64> =
-        BpTree::bulk_load(FastPathMode::Pole, dense_cfg, entries.clone(), 0.9);
-    let mut gapped: BpTree<u64, u64> =
-        BpTree::bulk_load(FastPathMode::Pole, gapped_cfg, entries, 0.9);
+    let binary_cfg = TreeConfig::small(16);
+    let other_cfg = TreeConfig::small(16).with_search_kind(SearchKind::Simd);
+    let mut binary: BpTree<u64, u64> =
+        BpTree::bulk_load(FastPathMode::Pole, binary_cfg, entries.clone(), 0.9);
+    let mut other: BpTree<u64, u64> =
+        BpTree::bulk_load(FastPathMode::Pole, other_cfg, entries, 0.9);
     // Continue with batch inserts whose runs hit the fast-append path on
-    // dense tails and the per-entry merge path on gapped ones.
+    // the tails and the per-entry merge path inside the loaded leaves.
     let batch: Vec<(u64, u64)> = (4000..7000u64).map(|k| (k * 2 + 1, k)).collect();
-    assert_eq!(dense.insert_batch(&batch), gapped.insert_batch(&batch));
+    assert_eq!(binary.insert_batch(&batch), other.insert_batch(&batch));
     let probes: Vec<u64> = (0..14_000u64).step_by(101).collect();
-    assert_equivalent(&dense, &gapped, &probes);
-}
-
-#[test]
-fn snapshot_roundtrip_under_gapped_layout() {
-    let (_, mut gapped) = pair(FastPathMode::Pole, 8, SearchKind::Branchless);
-    let mut rng = StdRng::seed_from_u64(0x1a_0003);
-    for _ in 0..4000 {
-        gapped.insert(rng.gen_range(0..1500u64), 7);
-    }
-    for _ in 0..800 {
-        gapped.delete(rng.gen_range(0..1500u64));
-    }
-    let snap = gapped.to_snapshot();
-    assert_eq!(snap.config.node_layout, NodeLayoutKind::Gapped);
-    let restored = BpTree::from_snapshot(snap);
-    restored.check_invariants().unwrap();
-    assert_eq!(restored.len(), gapped.len());
-    let a: Vec<(u64, u64)> = gapped.iter().map(|(k, v)| (k, *v)).collect();
-    let b: Vec<(u64, u64)> = restored.iter().map(|(k, v)| (k, *v)).collect();
-    assert_eq!(a, b);
+    assert_equivalent(&binary, &other, &probes);
 }
 
 #[test]
@@ -232,27 +205,4 @@ fn search_kinds_agree_on_every_boundary_shape() {
             }
         }
     }
-}
-
-#[test]
-fn gapped_layout_preserves_paper_fast_path_accounting() {
-    // The fast-path state machine is layout-independent: a sorted stream
-    // must produce identical fast/top-insert counts under both layouts.
-    let counts: Vec<(u64, u64)> = [NodeLayoutKind::Dense, NodeLayoutKind::Gapped]
-        .into_iter()
-        .map(|layout| {
-            let cfg = TreeConfig::small(16).with_node_layout(layout);
-            let mut t: BpTree<u64, u64> = BpTree::with_config(FastPathMode::Pole, cfg);
-            for k in 0..5000u64 {
-                t.insert(k, k);
-            }
-            t.check_invariants().unwrap();
-            (t.stats().fast_inserts.get(), t.stats().top_inserts.get())
-        })
-        .collect();
-    assert_eq!(counts[0], counts[1], "fast-path accounting diverged");
-    assert!(
-        counts[0].0 > 4900,
-        "sorted stream should nearly always fast-insert, got {counts:?}"
-    );
 }

@@ -3,7 +3,7 @@
 //! carries the [`DurabilityLevel`]), and the service's own knobs.
 
 use quit_concurrent::ConcConfig;
-use quit_core::{Error, Result};
+use quit_core::{Error, Result, StorageKind};
 use quit_durability::{DurabilityConfig, DurabilityLevel};
 
 /// Everything a [`crate::Server`] needs: shard count, per-shard tree
@@ -105,6 +105,11 @@ impl ServiceConfig {
         if self.tree.internal_capacity < 3 {
             return Err(Error::config("tree.internal_capacity must be at least 3"));
         }
+        if !matches!(self.tree.storage, StorageKind::Arena) {
+            return Err(Error::config(
+                "tree.storage must be StorageKind::Arena: shards run the concurrent tree",
+            ));
+        }
         Ok(())
     }
 }
@@ -132,6 +137,12 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(e.to_string().contains("batch_max"));
+        let e = ServiceConfig::paper_default()
+            .with_tree(ConcConfig::paper_default().with_storage(StorageKind::paged(64)))
+            .validate()
+            .unwrap_err();
+        assert_eq!(e.kind(), "config");
+        assert!(e.to_string().contains("tree.storage"));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 #![cfg_attr(feature = "inject-early-reply", allow(dead_code))]
 
+use quit_concurrent::ConcConfig;
+use quit_core::StorageKind;
 use quit_durability::{MemStorage, Storage};
 use quit_service::{shard_of, Client, Reply, Request, Server, ServiceConfig};
 use std::collections::{BTreeMap, HashMap};
@@ -194,6 +196,21 @@ fn wire_errors_carry_the_unified_taxonomy() {
     assert_eq!(body[8], 2, "corruption status code");
     drop(raw);
     server.shutdown().unwrap();
+}
+
+#[test]
+fn paged_tree_config_is_a_config_error_not_a_panic() {
+    // Shards run the concurrent tree, which is arena-only: a paged tree
+    // config must be refused up front instead of panicking a shard.
+    let config = ServiceConfig::small(2)
+        .with_tree(ConcConfig::small(16).with_storage(StorageKind::paged(64)));
+    let started = std::panic::catch_unwind(|| Server::start_in_memory(config, "127.0.0.1:0"));
+    let err = match started.expect("Server::start must not panic") {
+        Ok(_) => panic!("paged tree storage must be rejected"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), "config");
+    assert!(err.to_string().contains("tree.storage"), "got: {err}");
 }
 
 #[test]

@@ -27,7 +27,7 @@
 
 use crate::oracle::{Divergence, Model};
 use quit_concurrent::{ConcConfig, ConcurrentTree};
-use quit_core::{NodeLayoutKind, SearchKind};
+use quit_core::SearchKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Values are tagged with the owning writer in the top bits so readers
@@ -52,8 +52,6 @@ pub struct ConcSpec {
     pub leaf_capacity: usize,
     /// Whether optimistic lock coupling is enabled on the tree.
     pub olc: bool,
-    /// Leaf slot layout under test.
-    pub node_layout: NodeLayoutKind,
     /// Intra-node search implementation under test (OLC raw descents
     /// always stay on the branchless scalar path regardless).
     pub search_kind: SearchKind,
@@ -69,16 +67,14 @@ impl Default for ConcSpec {
             seed: 0xC0FF_EE00,
             leaf_capacity: 8,
             olc: true,
-            node_layout: NodeLayoutKind::Dense,
             search_kind: SearchKind::Binary,
         }
     }
 }
 
 impl ConcSpec {
-    /// Same run shape, different node layout / search implementation.
-    pub fn with_layout(mut self, layout: NodeLayoutKind, kind: SearchKind) -> Self {
-        self.node_layout = layout;
+    /// Same run shape, different search implementation.
+    pub fn with_search_kind(mut self, kind: SearchKind) -> Self {
         self.search_kind = kind;
         self
     }
@@ -145,7 +141,6 @@ pub fn replay_concurrent(spec: &ConcSpec) -> Result<ConcReport, Divergence> {
     let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(
         ConcConfig::small(spec.leaf_capacity)
             .with_olc(spec.olc)
-            .with_node_layout(spec.node_layout)
             .with_search_kind(spec.search_kind),
     );
     let stop = AtomicBool::new(false);
@@ -397,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn gapped_layout_replay_is_divergence_free() {
+    fn branchless_search_replay_is_divergence_free() {
         let report = replay_concurrent(
             &ConcSpec {
                 writers: 2,
@@ -405,7 +400,7 @@ mod tests {
                 ops_per_writer: 1_500,
                 ..ConcSpec::default()
             }
-            .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless),
+            .with_search_kind(SearchKind::Branchless),
         )
         .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(report.writer_ops, 3_000);

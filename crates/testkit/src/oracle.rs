@@ -18,9 +18,7 @@
 
 use crate::workload::Op;
 use quit_concurrent::{ConcConfig, ConcurrentTree};
-use quit_core::{
-    BpTree, NodeLayoutKind, SearchKind, SortedIndex, StorageKind, TreeConfig, Variant,
-};
+use quit_core::{BpTree, SearchKind, SortedIndex, StorageKind, TreeConfig, Variant};
 use std::collections::{BTreeMap, BTreeSet};
 use sware::{SaBpTree, SwareConfig};
 
@@ -56,10 +54,9 @@ pub struct OracleConfig {
     /// Run the structural invariant suites every this many ops (besides
     /// after every batch op and at the end).
     pub check_every: usize,
-    /// Leaf slot layout for every family (the layout is part of the
-    /// workload spec: every suite runs once dense, once gapped).
-    pub node_layout: NodeLayoutKind,
-    /// Intra-node search implementation for every family.
+    /// Intra-node search implementation for every family (part of the
+    /// workload spec: suites run once per [`OracleConfig::search_sweep`]
+    /// entry).
     pub search_kind: SearchKind,
     /// Node storage for `BpTree` and `SaBpTree` (the concurrent family
     /// always runs the arena).
@@ -72,7 +69,6 @@ impl Default for OracleConfig {
             leaf_capacity: 8,
             buffer_capacity: 32,
             check_every: 256,
-            node_layout: NodeLayoutKind::Dense,
             search_kind: SearchKind::Binary,
             backend: OracleBackend::Arena,
         }
@@ -80,9 +76,8 @@ impl Default for OracleConfig {
 }
 
 impl OracleConfig {
-    /// Same geometry, different node layout / search implementation.
-    pub fn with_layout(mut self, layout: NodeLayoutKind, kind: SearchKind) -> Self {
-        self.node_layout = layout;
+    /// Same geometry, different search implementation.
+    pub fn with_search_kind(mut self, kind: SearchKind) -> Self {
         self.search_kind = kind;
         self
     }
@@ -93,13 +88,12 @@ impl OracleConfig {
         self
     }
 
-    /// Both layout variants of this config, for suites that sweep them.
-    pub fn layout_sweep(&self) -> [OracleConfig; 2] {
+    /// This config under the paper's binary search and under the
+    /// branchless kernel, for suites that sweep them.
+    pub fn search_sweep(&self) -> [OracleConfig; 2] {
         [
-            self.clone()
-                .with_layout(NodeLayoutKind::Dense, SearchKind::Binary),
-            self.clone()
-                .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless),
+            self.clone().with_search_kind(SearchKind::Binary),
+            self.clone().with_search_kind(SearchKind::Branchless),
         ]
     }
 }
@@ -316,22 +310,18 @@ pub fn replay(ops: &[Op], config: &OracleConfig) -> Result<ReplayReport, Diverge
         OracleBackend::Paged { pool_pages } => StorageKind::paged(pool_pages),
     };
     let tree_config = TreeConfig::small(config.leaf_capacity)
-        .with_node_layout(config.node_layout)
         .with_search_kind(config.search_kind)
         .with_storage(storage);
     let mut sware_config = SwareConfig::small(config.buffer_capacity, config.leaf_capacity);
     sware_config.tree_config = sware_config
         .tree_config
-        .with_node_layout(config.node_layout)
         .with_search_kind(config.search_kind)
         .with_storage(storage);
     let mut families = vec![
         Family::Quit(Variant::Quit.build(tree_config)),
         Family::Sware(SaBpTree::new(sware_config)),
         Family::Concurrent(ConcurrentTree::new(
-            ConcConfig::small(config.leaf_capacity)
-                .with_node_layout(config.node_layout)
-                .with_search_kind(config.search_kind),
+            ConcConfig::small(config.leaf_capacity).with_search_kind(config.search_kind),
         )),
     ];
     let mut model = Model::default();
@@ -588,18 +578,18 @@ mod tests {
                 ..WorkloadSpec::default()
             }
             .generate();
-            for cfg in OracleConfig::default().layout_sweep() {
+            for cfg in OracleConfig::default().search_sweep() {
                 replay(&ops, &cfg)
-                    .unwrap_or_else(|d| panic!("seed {seed} layout {:?}: {d}", cfg.node_layout));
+                    .unwrap_or_else(|d| panic!("seed {seed} search {:?}: {d}", cfg.search_kind));
             }
         }
     }
 
     #[test]
-    fn layout_sweep_covers_both_layouts() {
-        let sweep = OracleConfig::default().layout_sweep();
-        assert_eq!(sweep[0].node_layout, NodeLayoutKind::Dense);
-        assert_eq!(sweep[1].node_layout, NodeLayoutKind::Gapped);
+    fn search_sweep_covers_binary_and_branchless() {
+        let sweep = OracleConfig::default().search_sweep();
+        assert_eq!(sweep[0].search_kind, SearchKind::Binary);
+        assert_eq!(sweep[1].search_kind, SearchKind::Branchless);
         // Geometry carries over unchanged.
         assert_eq!(
             sweep[1].leaf_capacity,

@@ -11,24 +11,21 @@
 // differential suite (feature unification would poison these runs too).
 #![cfg(not(any(feature = "inject-split-bug", feature = "inject-search-bug")))]
 
-use quit_core::{NodeLayoutKind, SearchKind};
+use quit_core::SearchKind;
 use quit_testkit::{conc_base_seed, fuzz_cases, replay_concurrent, ConcSpec};
 
 const SOAK_SEED: u64 = 0x511D_2025;
 
-/// Both node layouts, soaked identically: dense + binary is the paper
-/// path, gapped + branchless the redesigned data-parallel one.
-const LAYOUTS: [(NodeLayoutKind, SearchKind); 2] = [
-    (NodeLayoutKind::Dense, SearchKind::Binary),
-    (NodeLayoutKind::Gapped, SearchKind::Branchless),
-];
+/// Both search kinds, soaked identically: binary is the paper path,
+/// branchless the data-parallel kernel.
+const SEARCHES: [SearchKind; 2] = [SearchKind::Binary, SearchKind::Branchless];
 
 /// ≥50k mutating ops across 4 writers with 2 validating readers (6
-/// threads), optimistic lock coupling enabled, for each node layout.
+/// threads), optimistic lock coupling enabled, for each search kind.
 #[test]
 fn olc_soak_is_divergence_free() {
     let ops_per_writer = 15_000 * fuzz_cases(1);
-    for (layout, kind) in LAYOUTS {
+    for kind in SEARCHES {
         let report = replay_concurrent(
             &ConcSpec {
                 writers: 4,
@@ -40,14 +37,14 @@ fn olc_soak_is_divergence_free() {
                 olc: true,
                 ..ConcSpec::default()
             }
-            .with_layout(layout, kind),
+            .with_search_kind(kind),
         )
-        .unwrap_or_else(|d| panic!("olc soak ({layout:?}) diverged: {d}"));
+        .unwrap_or_else(|d| panic!("olc soak ({kind:?}) diverged: {d}"));
         assert_eq!(report.writer_ops, 4 * ops_per_writer);
         assert!(report.reader_ops >= 2);
         assert!(report.final_len > 0);
         println!(
-            "olc soak ({layout:?}): {} writer ops, {} reader ops, final len {}, {} restarts, {} fallbacks",
+            "olc soak ({kind:?}): {} writer ops, {} reader ops, final len {}, {} restarts, {} fallbacks",
             report.writer_ops,
             report.reader_ops,
             report.final_len,
@@ -62,7 +59,7 @@ fn olc_soak_is_divergence_free() {
 #[test]
 fn pessimistic_soak_is_divergence_free() {
     let ops_per_writer = 15_000 * fuzz_cases(1);
-    for (layout, kind) in LAYOUTS {
+    for kind in SEARCHES {
         let report = replay_concurrent(
             &ConcSpec {
                 writers: 4,
@@ -74,9 +71,9 @@ fn pessimistic_soak_is_divergence_free() {
                 olc: false,
                 ..ConcSpec::default()
             }
-            .with_layout(layout, kind),
+            .with_search_kind(kind),
         )
-        .unwrap_or_else(|d| panic!("pessimistic soak ({layout:?}) diverged: {d}"));
+        .unwrap_or_else(|d| panic!("pessimistic soak ({kind:?}) diverged: {d}"));
         assert_eq!(report.writer_ops, 4 * ops_per_writer);
         assert_eq!(report.olc_restarts, 0);
         assert_eq!(report.olc_fallbacks, 0);
@@ -87,7 +84,7 @@ fn pessimistic_soak_is_divergence_free() {
 /// optimistic reads would live.
 #[test]
 fn tiny_leaf_soak_is_divergence_free() {
-    for (layout, kind) in LAYOUTS {
+    for kind in SEARCHES {
         let report = replay_concurrent(
             &ConcSpec {
                 writers: 3,
@@ -99,9 +96,9 @@ fn tiny_leaf_soak_is_divergence_free() {
                 olc: true,
                 ..ConcSpec::default()
             }
-            .with_layout(layout, kind),
+            .with_search_kind(kind),
         )
-        .unwrap_or_else(|d| panic!("tiny-leaf soak ({layout:?}) diverged: {d}"));
+        .unwrap_or_else(|d| panic!("tiny-leaf soak ({kind:?}) diverged: {d}"));
         assert!(report.final_len > 0);
     }
 }

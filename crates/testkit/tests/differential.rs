@@ -26,7 +26,7 @@ use quit_testkit::{
 const KL_GRID: [(f64, f64); 5] = [(0.0, 1.0), (0.05, 1.0), (0.2, 0.25), (0.5, 1.0), (1.0, 0.1)];
 
 /// ≥ 50k mixed ops per family at fixed seeds, across the K/L grid, two op
-/// mixes, two tree geometries, and both node layouts.
+/// mixes, two tree geometries, and both search kinds.
 #[test]
 fn fixed_seed_soak() {
     let cases = fuzz_cases(10);
@@ -55,15 +55,15 @@ fn fixed_seed_soak() {
                 dup_fraction: 0.08,
             };
             let ops = spec.generate();
-            for cfg in geometries.iter().flat_map(OracleConfig::layout_sweep) {
+            for cfg in geometries.iter().flat_map(OracleConfig::search_sweep) {
                 let report = replay(&ops, &cfg).unwrap_or_else(|d| {
-                    panic!("case {case} K={k} L={l} layout {:?}: {d}", cfg.node_layout)
+                    panic!("case {case} K={k} L={l} search {:?}: {d}", cfg.search_kind)
                 });
                 total_ops += report.ops;
             }
         }
     }
-    // 10 cases × 5 grid points × 2 geometries × 2 layouts × 560 ops
+    // 10 cases × 5 grid points × 2 geometries × 2 search kinds × 560 ops
     // = 112k per family.
     assert!(
         total_ops >= 50_000 || cases < 10,
@@ -108,7 +108,7 @@ fn fixed_seed_soak_paged_under_pressure() {
                 dup_fraction: 0.08,
             };
             let ops = spec.generate();
-            for cfg in geometries.iter().flat_map(OracleConfig::layout_sweep) {
+            for cfg in geometries.iter().flat_map(OracleConfig::search_sweep) {
                 let report = replay(&ops, &cfg).unwrap_or_else(|d| {
                     panic!("paged case {case} K={k} L={l} {:?}: {d}", cfg.backend)
                 });
@@ -127,14 +127,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Freshly sampled workloads (random length, K/L knobs, mix) replay
-    /// clean through the full oracle, under both node layouts. On failure
+    /// clean through the full oracle, under both search kinds. On failure
     /// this shrinks to a minimal op list and persists the seed next to
     /// this file.
     #[test]
     fn sampled_workloads_replay_clean(ops in WorkloadStrategy::mixed(400)) {
-        for cfg in OracleConfig::default().layout_sweep() {
+        for cfg in OracleConfig::default().search_sweep() {
             let report = replay(&ops, &cfg)
-                .unwrap_or_else(|d| panic!("layout {:?}: {d}", cfg.node_layout));
+                .unwrap_or_else(|d| panic!("search {:?}: {d}", cfg.search_kind));
             assert_eq!(report.ops, ops.len());
         }
     }
@@ -149,9 +149,9 @@ proptest! {
             check_every: 32,
             ..OracleConfig::default()
         };
-        for cfg in tiny.layout_sweep() {
+        for cfg in tiny.search_sweep() {
             replay(&ops, &cfg)
-                .unwrap_or_else(|d| panic!("layout {:?}: {d}", cfg.node_layout));
+                .unwrap_or_else(|d| panic!("search {:?}: {d}", cfg.search_kind));
         }
     }
 }

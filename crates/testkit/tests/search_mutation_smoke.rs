@@ -4,9 +4,9 @@
 //! Built with `--features inject-search-bug`, `quit-core` drops the final
 //! single-element step of `branchless_partition_point_by`, so every
 //! branchless (and SIMD-fallback) intra-node search lands one slot short
-//! of the true partition point. This suite asserts the layout-swept
-//! differential oracle (1) detects that under the gapped + branchless
-//! config, (2) shrinks the trigger to a tiny counterexample, and (3) the
+//! of the true partition point. This suite asserts the search-swept
+//! differential oracle (1) detects that under the branchless config,
+//! (2) shrinks the trigger to a tiny counterexample, and (3) the
 //! minimal counterexample reproduces standalone.
 //!
 //! CI runs this as a separate cargo invocation (feature unification would
@@ -16,13 +16,12 @@
 #![cfg(feature = "inject-search-bug")]
 
 use proptest::test_runner::{Config, Runner};
-use quit_core::{NodeLayoutKind, SearchKind};
+use quit_core::SearchKind;
 use quit_testkit::{replay_guarded, Op, OracleConfig, WorkloadStrategy};
 
-/// The branchless member of the layout sweep — exactly the configuration
-/// every suite now runs alongside the dense + binary paper path, so a
-/// search bug that only this config exposes proves the sweep pulls its
-/// weight.
+/// The branchless member of the search sweep — exactly the configuration
+/// every suite runs alongside the binary paper path, so a search bug that
+/// only this config exposes proves the sweep pulls its weight.
 fn oracle_config() -> OracleConfig {
     OracleConfig {
         leaf_capacity: 4,
@@ -30,7 +29,7 @@ fn oracle_config() -> OracleConfig {
         check_every: 4,
         ..OracleConfig::default()
     }
-    .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless)
+    .with_search_kind(SearchKind::Branchless)
 }
 
 fn run_harness(label: &str, cases: u32) -> proptest::test_runner::Failure<(Vec<Op>,)> {

@@ -59,8 +59,8 @@ pub use quit_service;
 pub use quit_testkit;
 pub use sware;
 
+pub use quit_core::SearchKind;
 pub use quit_core::{Error, Result};
-pub use quit_core::{NodeLayoutKind, SearchKind};
 
 use quit_concurrent::ConcConfig;
 use quit_core::{BpTree, FastPathMode, SortedIndex, StatsSnapshot, StorageKind, TreeConfig};
